@@ -59,7 +59,7 @@ from repro.errors import ClusterError
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.kv.jakiro import Jakiro, JakiroClient
-from repro.kv.store import StoreCostModel, partition_of
+from repro.kv.store import StoreCostModel
 from repro.sim.atomic import atomic_section
 from repro.sim.core import AllOf, Event, Process, Simulator
 from repro.sim.resources import Resource
@@ -223,20 +223,27 @@ class RfpCluster:
         return self.ring.lookup_replicas(key, self.config.replication_factor)
 
     def preload(self, pairs) -> None:
-        """Load pairs into every replica (off-line, before the clock runs)."""
+        """Load pairs into every replica (off-line, before the clock runs).
+
+        Shards are independent stores, so each gets its pairs in one bulk
+        load, in the order given."""
+        per_shard: Dict[str, List[Tuple[bytes, bytes]]] = {
+            shard_name: [] for shard_name in self.shards
+        }
         for key, value in pairs:
             for shard_name in self.replicas_for(key):
-                self.shards[shard_name].jakiro.preload([(key, value)])
+                per_shard[shard_name].append((key, value))
+        for shard_name, shard_pairs in per_shard.items():
+            self.shards[shard_name].jakiro.preload(shard_pairs)
 
     def peek(self, shard_name: str, key: bytes) -> Optional[bytes]:
         """Direct store readout (no simulated time) — verification only.
 
         Used post-run to audit durability claims, e.g. that no
-        acknowledged write was lost across a failover.
+        acknowledged write was lost across a failover.  It has no side
+        effects: no cost draw, no LRU refresh, no counter.
         """
-        store = self._handle(shard_name).jakiro.store
-        value, _cost = store.get(partition_of(key, store.partitions), key)
-        return value
+        return self._handle(shard_name).jakiro.store.peek(key)
 
     # ------------------------------------------------------------------
     # Clients and failure injection

@@ -121,10 +121,10 @@ class Jakiro:
 
         The paper preloads 128M YCSB pairs before measuring; preloading
         bypasses simulated time, exactly like loading before the clock
-        starts.
+        starts.  :meth:`JakiroStore.load` leaves the store exactly as one
+        ``put`` per pair would.
         """
-        for key, value in pairs:
-            self.store.put(partition_of(key, self.store.partitions), key, value)
+        self.store.load(pairs)
 
     def restart(self) -> None:
         """Reboot after a :meth:`RfpServer.halt` crash: worker threads

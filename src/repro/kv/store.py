@@ -12,22 +12,31 @@ locking anywhere on the serving path.
 time the server thread is charged, including a configurable heavy-tail
 jitter that reproduces the paper's "0.2% of requests have unexpectedly
 long process time" (§3.2, Table 3).
+
+:meth:`JakiroStore.load` is the off-line bulk path (dataset preload): it
+hashes and places a whole batch of pairs with NumPy and leaves the store,
+its counters and its cost RNG exactly as one :meth:`JakiroStore.put` per
+pair would.  Buckets are allocated on first insert, so an empty store of
+millions of slots costs one ``None`` per bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
-from repro.kv.crc import crc64
+from repro.kv.crc import crc64, crc64_many
 from repro.sim.monitor import Counter
 
-__all__ = ["JakiroStore", "StoreCostModel", "partition_of", "key_hash"]
+__all__ = ["JakiroStore", "StoreCostModel", "partition_of", "key_hash", "key_hashes"]
 
 SLOTS_PER_BUCKET = 8
+
+#: Most uniforms drawn per step of :meth:`StoreCostModel.advance`.
+_ADVANCE_CHUNK = 4096
 
 
 #: Memoized key digests.  Pure-function cache: benches route every op's
@@ -45,6 +54,16 @@ def key_hash(key: bytes) -> int:
     return cached
 
 
+def key_hashes(keys: Sequence[bytes]) -> List[int]:
+    """:func:`key_hash` of every key.  Keys not yet memoized are hashed in
+    one vectorized :func:`crc64_many` pass and memoized, so later
+    per-operation lookups hit the memo exactly as after :func:`key_hash`."""
+    memo = _KEY_HASHES
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    memo.update(zip(missing, crc64_many(missing)))
+    return [memo[key] for key in keys]
+
+
 def partition_of(key: bytes, partitions: int) -> int:
     """EREW owner partition of ``key`` — shared by clients and server."""
     if partitions < 1:
@@ -52,7 +71,7 @@ def partition_of(key: bytes, partitions: int) -> int:
     return key_hash(key) % partitions
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     key: bytes
     value: bytes
@@ -81,6 +100,33 @@ class StoreCostModel:
                 cost += float(rng.exponential(self.jitter_mean_us))
         return cost
 
+    def advance(self, rng: Optional[np.random.Generator], n: int) -> None:
+        """Consume exactly the draws ``n`` calls of :meth:`cost` would.
+
+        Uniforms are drawn a chunk at a time; at the first one below
+        ``jitter_probability`` the generator is rewound to the chunk start,
+        re-draws up to and including that uniform, and draws the
+        exponential, whose consumption varies, before the next chunk.
+        Chunks span about eight expected gaps between hits, so the
+        re-drawn share stays small at any probability.
+        """
+        if rng is None or not self.jitter_probability > 0:
+            return
+        span = min(_ADVANCE_CHUNK, 16 + int(8 / self.jitter_probability))
+        bit_generator = rng.bit_generator
+        while n > 0:
+            chunk = min(n, span)
+            start = bit_generator.state
+            hits = np.flatnonzero(rng.random(chunk) < self.jitter_probability)
+            if hits.size == 0:
+                n -= chunk
+                continue
+            used = int(hits[0]) + 1
+            bit_generator.state = start
+            rng.random(used)
+            rng.exponential(self.jitter_mean_us)
+            n -= used
+
 
 @dataclass
 class StoreCounters:
@@ -93,7 +139,11 @@ class StoreCounters:
 
 
 class JakiroStore:
-    """The partitioned bucket/slot structure with strict per-bucket LRU."""
+    """The partitioned bucket/slot structure with strict per-bucket LRU.
+
+    ``_buckets[partition][index]`` is ``None`` until the bucket's first
+    insert, then a list of at most :data:`SLOTS_PER_BUCKET` slots.
+    """
 
     def __init__(
         self,
@@ -115,9 +165,7 @@ class JakiroStore:
         self.cost_model = cost_model if cost_model is not None else StoreCostModel()
         self._rng = rng
         self._clock = 0
-        self._buckets: List[List[List[_Slot]]] = [
-            [[] for _ in range(buckets_per_partition)] for _ in range(partitions)
-        ]
+        self._buckets = self._empty_buckets()
         self.counters = StoreCounters()
 
     # ------------------------------------------------------------------
@@ -126,15 +174,17 @@ class JakiroStore:
 
     def get(self, partition: int, key: bytes) -> Tuple[Optional[bytes], float]:
         """Look up ``key`` in its EREW partition; LRU-refresh on hit."""
-        bucket = self._bucket(partition, key)
+        index = self._index(partition, key)
+        bucket = self._buckets[partition][index]
         self.counters.gets.increment()
         self._clock += 1
-        for slot in bucket:
-            if slot.key == key:
-                slot.last_used = self._clock
-                self.counters.hits.increment()
-                cost = self.cost_model.cost(len(slot.value), self._rng)
-                return slot.value, cost
+        if bucket is not None:
+            for slot in bucket:
+                if slot.key == key:
+                    slot.last_used = self._clock
+                    self.counters.hits.increment()
+                    cost = self.cost_model.cost(len(slot.value), self._rng)
+                    return slot.value, cost
         self.counters.misses.increment()
         return None, self.cost_model.cost(0, self._rng)
 
@@ -146,25 +196,63 @@ class JakiroStore:
             raise ValueTooLargeError(
                 f"value of {len(value)} B > {self.max_value_bytes} B"
             )
-        bucket = self._bucket(partition, key)
+        index = self._index(partition, key)
         self.counters.puts.increment()
         self._clock += 1
         cost = self.cost_model.cost(len(value), self._rng)
-        for slot in bucket:
-            if slot.key == key:
-                slot.value = value
-                slot.last_used = self._clock
-                self.counters.updates.increment()
-                return False, cost
-        if len(bucket) >= SLOTS_PER_BUCKET:
-            victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
-            bucket.pop(victim)
-            self.counters.evictions.increment()
-            evicted = True
-        else:
-            evicted = False
-        bucket.append(_Slot(key=key, value=value, last_used=self._clock))
+        evicted = self._insert(self._buckets[partition], index, key, value, self._clock)
         return evicted, cost
+
+    def load(self, pairs: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Bulk-insert ``pairs`` (off-line, e.g. a dataset preload).
+
+        The effect is exactly that of ``put(partition_of(key), key, value)``
+        for each pair in order: the same slots in the same order, the same
+        ``last_used`` stamps and counters, and the same cost-RNG draws.  An
+        oversize key or value loads the pairs before it and then raises
+        what :meth:`put` raises.
+        """
+        pairs = list(pairs)
+        keys = [key for key, _ in pairs]
+        values = [value for _, value in pairs]
+        count = len(pairs)
+        if pairs and (
+            max(map(len, keys)) > self.max_key_bytes
+            or max(map(len, values)) > self.max_value_bytes
+        ):
+            count = next(
+                i
+                for i, (key, value) in enumerate(pairs)
+                if len(key) > self.max_key_bytes or len(value) > self.max_value_bytes
+            )
+        digests = np.array(key_hashes(keys[:count]), dtype=np.uint64)
+        partitions = np.uint64(self.partitions)
+        owners = (digests % partitions).tolist()
+        indices = (
+            digests // partitions % np.uint64(self.buckets_per_partition)
+        ).tolist()
+        buckets = self._buckets
+        insert = self._insert
+        clock = self._clock
+        for key, value, owner, index in zip(keys, values, owners, indices):
+            clock += 1
+            insert(buckets[owner], index, key, value, clock)
+        self._clock = clock
+        self.counters.puts.increment(count)
+        self.cost_model.advance(self._rng, count)
+        if count < len(pairs):
+            key, value = pairs[count]
+            self.put(partition_of(key, self.partitions), key, value)
+
+    def peek(self, key: bytes) -> Optional[bytes]:
+        """The value resident for ``key``, or ``None``.  A pure readout for
+        verification: no cost, no clock tick, no counters, no LRU refresh."""
+        partition = partition_of(key, self.partitions)
+        bucket = self._buckets[partition][self._index(partition, key)]
+        for slot in bucket or ():
+            if slot.key == key:
+                return slot.value
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -172,11 +260,7 @@ class JakiroStore:
 
     def size(self) -> int:
         """Total key-value pairs resident across all partitions."""
-        return sum(
-            len(bucket)
-            for partition in self._buckets
-            for bucket in partition
-        )
+        return sum(self.partition_sizes().values())
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Every resident ``(key, value)`` pair, in deterministic
@@ -184,31 +268,69 @@ class JakiroStore:
         recovery coordinator streams from donor shards.  Charges no cost
         and does not touch LRU recency."""
         for partition in self._buckets:
-            for bucket in partition:
+            for bucket in filter(None, partition):
                 for slot in bucket:
                     yield slot.key, slot.value
 
     def clear(self) -> None:
         """Drop every resident pair (a cold restart loses host memory);
         counters survive, mirroring persistent monitoring."""
-        for partition in self._buckets:
-            for index in range(len(partition)):
-                partition[index] = []
+        self._buckets = self._empty_buckets()
 
     def partition_sizes(self) -> Dict[int, int]:
         return {
-            index: sum(len(bucket) for bucket in partition)
+            index: sum(map(len, filter(None, partition)))
             for index, partition in enumerate(self._buckets)
         }
 
-    def _bucket(self, partition: int, key: bytes) -> List[_Slot]:
+    def bucket_sizes(self) -> List[List[int]]:
+        """Resident pairs in every bucket, one list per partition."""
+        return [
+            [len(bucket) if bucket else 0 for bucket in partition]
+            for partition in self._buckets
+        ]
+
+    def _empty_buckets(self) -> List[List[Optional[List[_Slot]]]]:
+        return [[None] * self.buckets_per_partition for _ in range(self.partitions)]
+
+    def _index(self, partition: int, key: bytes) -> int:
+        """``key``'s bucket index, checking that ``partition`` owns it."""
         if not 0 <= partition < self.partitions:
             raise KVError(f"partition {partition} out of range")
-        expected = partition_of(key, self.partitions)
+        digest = key_hash(key)
+        expected = digest % self.partitions
         if partition != expected:
             raise KVError(
                 f"EREW violation: key belongs to partition {expected}, "
                 f"thread touched {partition}"
             )
-        index = (key_hash(key) // self.partitions) % self.buckets_per_partition
-        return self._buckets[partition][index]
+        return (digest // self.partitions) % self.buckets_per_partition
+
+    def _insert(
+        self,
+        partition: List[Optional[List[_Slot]]],
+        index: int,
+        key: bytes,
+        value: bytes,
+        clock: int,
+    ) -> bool:
+        """Insert or update ``key`` in bucket ``index`` at time ``clock``,
+        evicting the strictly least-recently-used slot of a full bucket;
+        returns whether a slot was evicted."""
+        bucket = partition[index]
+        if bucket is None:
+            partition[index] = [_Slot(key, value, clock)]
+            return False
+        for slot in bucket:
+            if slot.key == key:
+                slot.value = value
+                slot.last_used = clock
+                self.counters.updates.increment()
+                return False
+        evicted = len(bucket) >= SLOTS_PER_BUCKET
+        if evicted:
+            victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
+            bucket.pop(victim)
+            self.counters.evictions.increment()
+        bucket.append(_Slot(key, value, clock))
+        return evicted

@@ -57,6 +57,41 @@ class TestConfig:
             service.kill("shard9")
 
 
+class TestPeek:
+    def test_peek_has_no_side_effects(self):
+        """``peek`` is a verification readout: it must not draw cost
+        jitter, tick the LRU clock, bump counters or refresh recency."""
+        _, _, _, service = make_service()
+        service.preload([(key, b"v" * 32) for key in KEYS])
+
+        def observed():
+            state = {}
+            for name, handle in service.shards.items():
+                store = handle.jakiro.store
+                state[name] = (
+                    store._rng.bit_generator.state,
+                    store._clock,
+                    [
+                        getattr(store.counters, counter).value
+                        for counter in ("gets", "hits", "misses")
+                    ],
+                    [
+                        slot.last_used
+                        for partition in store._buckets
+                        for bucket in filter(None, partition)
+                        for slot in bucket
+                    ],
+                )
+            return state
+
+        before = observed()
+        for key in KEYS:
+            for shard_name in service.replicas_for(key):
+                assert service.peek(shard_name, key) == b"v" * 32
+        assert service.peek("shard0", b"missing") is None
+        assert observed() == before
+
+
 class TestRouting:
     def test_get_put_roundtrip(self):
         sim, cluster, _, service = make_service()

@@ -1,0 +1,115 @@
+"""The bulk preload path is observationally a ``put`` per pair.
+
+:meth:`Jakiro.preload` and :meth:`RfpCluster.preload` load through
+:meth:`JakiroStore.load`; these tests pin that a run after a bulk preload
+is identical — every latency sample and every engine dispatch — to a run
+after the same pairs were put one at a time.
+"""
+
+import pytest
+
+from repro.cluster import ClusterConfig, RfpCluster
+from repro.hw import CLUSTER_EUROSYS17, build_cluster
+from repro.kv import Jakiro, partition_of
+from repro.sim import Simulator
+from repro.workloads import WorkloadSpec, YcsbWorkload
+
+SPEC = WorkloadSpec(records=100_000, seed=7)
+WINDOW_US = 300.0
+CLIENTS = 8
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return list(YcsbWorkload(SPEC).dataset())
+
+
+def _store_state(store):
+    """A copy of the store's layout, recency stamps, counters and RNG."""
+    return (
+        [
+            [
+                None if bucket is None else [
+                    (slot.key, slot.value, slot.last_used) for slot in bucket
+                ]
+                for bucket in partition
+            ]
+            for partition in store._buckets
+        ],
+        store._clock,
+        {
+            name: getattr(store.counters, name).value
+            for name in ("gets", "hits", "misses", "puts", "updates", "evictions")
+        },
+        store._rng.bit_generator.state,
+    )
+
+
+def _run_jakiro(dataset, bulk):
+    # A fresh workload per run: its operation streams are stateful.
+    workload = YcsbWorkload(SPEC)
+    sim = Simulator()
+    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+    jakiro = Jakiro(sim, cluster, threads=6, seed=11)
+    if bulk:
+        jakiro.preload(iter(dataset))
+    else:
+        store = jakiro.store
+        for key, value in dataset:
+            store.put(partition_of(key, store.partitions), key, value)
+    loaded = _store_state(jakiro.store)
+    clients = []
+    for index in range(CLIENTS):
+        client = jakiro.connect(cluster.client_machines[index % 7], name=f"c{index}")
+        operations = workload.operations(client.name)
+
+        def body(client=client, operations=operations):
+            for op in operations:
+                if op.is_get:
+                    yield from client.get(op.key)
+                else:
+                    yield from client.put(op.key, op.value)
+
+        sim.process(body())
+        clients.append(client)
+    sim.run(until=WINDOW_US)
+    samples = [client.latency_samples() for client in clients]
+    return loaded, samples, sim.dispatched, _store_state(jakiro.store)
+
+
+def test_jakiro_preload_matches_put_loop(dataset):
+    bulk = _run_jakiro(dataset, bulk=True)
+    looped = _run_jakiro(dataset, bulk=False)
+    loaded, samples, dispatched, final = bulk
+    assert loaded == looped[0]
+    assert sum(map(len, samples)) > 100
+    assert samples == looped[1]
+    assert dispatched == looped[2]
+    assert final == looped[3]
+
+
+def _cluster(bulk, pairs):
+    sim = Simulator()
+    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+    service = RfpCluster(
+        sim, cluster, shards=3, cluster_config=ClusterConfig(replication_factor=2)
+    )
+    if bulk:
+        service.preload(iter(pairs))
+    else:
+        for key, value in pairs:
+            for shard_name in service.replicas_for(key):
+                store = service.shards[shard_name].jakiro.store
+                store.put(partition_of(key, store.partitions), key, value)
+    return {
+        name: _store_state(handle.jakiro.store)
+        for name, handle in service.shards.items()
+    }
+
+
+def test_cluster_preload_matches_per_pair_placement(dataset):
+    # Repeat some keys with new values so per-shard order matters.
+    pairs = dataset[:6000] + [(key, b"again") for key, _ in dataset[:6000:7]]
+    bulk = _cluster(True, pairs)
+    assert bulk == _cluster(False, pairs)
+    assert all(state[2]["puts"] > 0 for state in bulk.values())

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.kv import JakiroStore, StoreCostModel, partition_of
 from repro.kv.store import SLOTS_PER_BUCKET, key_hash
+from repro.sim.random import seeded_rng
 
 
 def make_store(partitions=2, buckets=8, **kwargs):
@@ -125,8 +126,66 @@ class TestLruEviction:
         for i in range(100):
             key = f"k{i}".encode()
             store.put(0, key, b"v")
-        for bucket in store._buckets[0]:
-            assert len(bucket) <= SLOTS_PER_BUCKET
+        assert store.bucket_sizes() == [[SLOTS_PER_BUCKET]]
+
+
+class TestPeek:
+    def test_peek_reads_without_side_effects(self):
+        """A verification readout must not perturb the run after it: no
+        cost draw, no clock tick, no counters, no LRU refresh."""
+        store = make_store(
+            cost_model=StoreCostModel(jitter_probability=0.5), rng=seeded_rng(3)
+        )
+        keys = owned_keys(store, 0, 5)
+        for key in keys:
+            store.put(0, key, b"v-" + key)
+        store.get(0, keys[1])
+
+        def observed():
+            counters = {
+                name: getattr(store.counters, name).value
+                for name in ("gets", "hits", "misses", "puts", "updates", "evictions")
+            }
+            stamps = [
+                slot.last_used
+                for partition in store._buckets
+                for bucket in filter(None, partition)
+                for slot in bucket
+            ]
+            return store._rng.bit_generator.state, store._clock, counters, stamps
+
+        before = observed()
+        assert [store.peek(key) for key in keys] == [b"v-" + key for key in keys]
+        assert store.peek(b"absent") is None
+        assert observed() == before
+
+
+class TestLazyBuckets:
+    def test_buckets_allocated_on_first_insert(self):
+        store = make_store(partitions=2, buckets=8)
+        assert store.bucket_sizes() == [[0] * 8, [0] * 8]
+        assert store.size() == 0 and list(store.items()) == []
+        key = owned_keys(store, 1, 1)[0]
+        assert store.get(1, key)[0] is None
+        store.put(1, key, b"v")
+        sizes = store.bucket_sizes()
+        assert sum(sizes[0]) == 0 and sum(sizes[1]) == 1
+        assert list(store.items()) == [(key, b"v")]
+        store.clear()
+        assert store.size() == 0 and store.peek(key) is None
+
+    def test_items_keep_partition_bucket_slot_order(self):
+        store = make_store(partitions=3, buckets=4)
+        pairs = [(f"o{i}".encode(), b"%d" % i) for i in range(40)]
+        store.load(pairs)
+        assert store.counters.evictions.value == 0
+        placed = {}
+        for key, value in pairs:
+            partition = partition_of(key, 3)
+            bucket = (key_hash(key) // 3) % 4
+            placed.setdefault((partition, bucket), []).append((key, value))
+        expected = [pair for slot in sorted(placed) for pair in placed[slot]]
+        assert list(store.items()) == expected
 
 
 class TestCostModel:

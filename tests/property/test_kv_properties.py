@@ -3,17 +3,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KVError
 from repro.kv import (
     CuckooHashTable,
     HopscotchTable,
     JakiroStore,
+    StoreCostModel,
     crc64,
     pack_get_request,
     pack_put_request,
     unpack_get_request,
     unpack_put_request,
 )
+from repro.kv.crc import crc64_many
 from repro.kv.store import SLOTS_PER_BUCKET, partition_of
+from repro.sim.random import seeded_rng
 
 keys = st.binary(min_size=1, max_size=64)
 values = st.binary(min_size=0, max_size=256)
@@ -44,6 +48,10 @@ class TestCrcProperties:
         corrupted[position] ^= 0xA5
         if bytes(corrupted) != data:
             assert crc64(bytes(corrupted)) != crc64(data)
+
+    @given(st.lists(st.binary(max_size=64), max_size=60))
+    def test_vectorized_matches_scalar(self, batch):
+        assert crc64_many(batch) == [crc64(key) for key in batch]
 
 
 class TestCuckooProperties:
@@ -155,10 +163,93 @@ class TestJakiroStoreProperties:
         store = JakiroStore(partitions=2, buckets_per_partition=4)
         for key, value in pairs:
             store.put(partition_of(key, 2), key, value)
-        for partition in store._buckets:
-            for bucket in partition:
-                assert len(bucket) <= SLOTS_PER_BUCKET
+        for sizes in store.bucket_sizes():
+            assert max(sizes) <= SLOTS_PER_BUCKET
 
     @given(keys, st.integers(1, 64))
     def test_partition_of_in_range(self, key, partitions):
         assert 0 <= partition_of(key, partitions) < partitions
+
+
+def _store_state(store):
+    """Everything a bulk load must leave as a ``put`` loop would: bucket
+    contents and order with each slot's ``last_used``, the LRU clock,
+    the counters, and the cost RNG's position."""
+    counters = {
+        name: getattr(store.counters, name).value
+        for name in ("gets", "hits", "misses", "puts", "updates", "evictions")
+    }
+    rng_state = store._rng.bit_generator.state if store._rng is not None else None
+    return store._buckets, store._clock, counters, rng_state
+
+
+#: Short keys from a small alphabet, so batches repeat keys and share
+#: buckets; lengths vary so the vectorized hash groups several lengths.
+small_keys = st.lists(st.sampled_from(b"abc"), max_size=3).map(bytes)
+small_values = st.binary(max_size=8)
+
+
+class TestBulkLoadParity:
+    """:meth:`JakiroStore.load` is observationally one ``put`` per pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        partitions=st.integers(1, 3),
+        buckets=st.integers(1, 4),
+        jitter=st.sampled_from([0.0, 0.002, 0.3, 1.0]),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        warmup=st.lists(
+            st.tuples(st.booleans(), small_keys, small_values), max_size=40
+        ),
+        pairs=st.lists(st.tuples(small_keys, small_values), max_size=80),
+    )
+    def test_load_equals_put_loop(
+        self, partitions, buckets, jitter, seed, warmup, pairs
+    ):
+        def build():
+            store = JakiroStore(
+                partitions,
+                buckets_per_partition=buckets,
+                max_key_bytes=2,
+                max_value_bytes=6,
+                cost_model=StoreCostModel(jitter_probability=jitter),
+                rng=None if seed is None else seeded_rng(seed),
+            )
+            # Pre-populate, with GETs interleaved to scramble recency.
+            for is_get, key, value in warmup:
+                part = partition_of(key, partitions)
+                if is_get:
+                    store.get(part, key)
+                elif len(key) <= 2 and len(value) <= 6:
+                    store.put(part, key, value)
+            return store
+
+        looped, loaded = build(), build()
+        looped_error = loaded_error = None
+        try:
+            for key, value in pairs:
+                looped.put(partition_of(key, partitions), key, value)
+        except KVError as error:
+            looped_error = (type(error), str(error))
+        try:
+            loaded.load(iter(pairs))
+        except KVError as error:
+            loaded_error = (type(error), str(error))
+        assert loaded_error == looped_error
+        assert _store_state(loaded) == _store_state(looped)
+        assert list(loaded.items()) == list(looped.items())
+        assert loaded.bucket_sizes() == looped.bucket_sizes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12_000),
+        jitter=st.sampled_from([0.0, 1e-6, 0.002, 0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_advance_equals_cost_calls(self, n, jitter, seed):
+        model = StoreCostModel(jitter_probability=jitter)
+        called, advanced = seeded_rng(seed), seeded_rng(seed)
+        for _ in range(n):
+            model.cost(32, called)
+        model.advance(advanced, n)
+        assert advanced.bit_generator.state == called.bit_generator.state
