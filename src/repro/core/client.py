@@ -312,8 +312,11 @@ class RfpClient:
 
     def _collect_payload(self, size: int) -> Generator:
         """Issue the remainder read when the response exceeded F."""
-        plan = plan_fetch(size, self.config.fetch_size)
-        if not plan.complete_after_first:
+        fetch_size = self.config.fetch_size
+        # Only a response that overflowed the first F-byte read needs a
+        # plan; the common one-read case skips building it.
+        if RESPONSE_HEADER_BYTES + size > fetch_size:
+            plan = plan_fetch(size, fetch_size)
             yield self.config.client_post_cpu_us
             if self.tracer is not None:
                 self._trace(

@@ -51,6 +51,11 @@ Handler = Callable[[bytes, "RequestContext"], Tuple[bytes, float]]
 
 _CLIENT_IDS = itertools.count(1)
 
+#: Stub-jitter draws taken from the server's RNG at a time.  A NumPy
+#: ``Generator`` yields the same values for one ``size=n`` draw as for n
+#: scalar draws, so the chunk size never changes a number.
+_JITTER_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class RequestContext:
@@ -87,6 +92,9 @@ class ClientChannel:
         config = server.config
         self.client_id = next(_CLIENT_IDS)
         self.thread_id = thread_id
+        #: Handed to the handler with every request; both ids are fixed
+        #: for the channel's life, so one context serves them all.
+        self.context = RequestContext(client_id=self.client_id, thread_id=thread_id)
         client_ep, server_ep = server.cluster.connect(client_machine, server.machine)
         self.client_endpoint = client_ep
         self.server_endpoint = server_ep
@@ -158,6 +166,9 @@ class RfpServer:
         self.tracer = tracer
         self._halted = False
         self._jitter_rng = seeded_rng(stable_hash(name))
+        #: Buffered stub-jitter draws, reversed so ``pop()`` hands them
+        #: out in draw order.
+        self._jitter_draws: List[float] = []
         self._stores: List[Store] = [Store(sim) for _ in range(threads)]
         self._channels: List[ClientChannel] = []
         self._next_thread = 0
@@ -263,8 +274,7 @@ class RfpServer:
                 channel.request_region.read_local(0, REQUEST_HEADER_BYTES)
             )
             payload = channel.request_region.read_local(REQUEST_HEADER_BYTES, size)
-            context = RequestContext(client_id=channel.client_id, thread_id=thread_id)
-            response, process_us = self.handler(payload, context)
+            response, process_us = self.handler(payload, channel.context)
             if process_us > 0:
                 yield process_us
             if has_jitter:
@@ -283,7 +293,12 @@ class RfpServer:
         jitter = self.config.server_sw_jitter_us
         if jitter <= 0:
             return 0.0
-        return float(self._jitter_rng.uniform(0.0, jitter))
+        draws = self._jitter_draws
+        if not draws:
+            draws = self._jitter_rng.uniform(0.0, jitter, size=_JITTER_CHUNK).tolist()
+            draws.reverse()
+            self._jitter_draws = draws
+        return draws.pop()
 
     def _publish_response(
         self, channel: ClientChannel, parity: int, response: bytes

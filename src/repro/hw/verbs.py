@@ -151,6 +151,10 @@ class Endpoint:
     # Checks
     # ------------------------------------------------------------------
 
+    # The one-sided verbs test these conditions inline and call the
+    # helpers below only when a test fails, so the helpers raise exactly
+    # the error a failed check always raised.
+
     def _check_open(self) -> None:
         if not self.qp._open:
             raise TransportError("verb posted on a closed queue pair")
@@ -195,12 +199,24 @@ class Endpoint:
         the local region when the completion fires — a concurrent remote
         CPU write is therefore observable torn.
         """
-        self._check_open()
-        if self.qp.qp_type is not QPType.RC:
+        qp = self.qp
+        if not qp._open:
+            self._check_open()
+        if qp.qp_type is not QPType.RC:
             raise TransportError(
-                f"RDMA Read requires RC, not {self.qp.qp_type.value}"
+                f"RDMA Read requires RC, not {qp.qp_type.value}"
             )
-        self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
+        if (
+            local_mr.machine is not self.machine
+            or remote_mr.machine is not self.remote
+            or not (local_mr._registered and remote_mr._registered)
+            or local_offset < 0
+            or remote_offset < 0
+            or size < 0
+            or local_offset + size > local_mr.size
+            or remote_offset + size > remote_mr.size
+        ):
+            self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
         sim = self.sim
         read_extra = self.machine.rnic.spec.read_extra_us
@@ -248,17 +264,29 @@ class Endpoint:
         completion fires after the hardware ACK returns; on UC it fires
         once the issuing NIC has sent the payload (no reliability).
         """
-        self._check_open()
-        if self.qp.qp_type is QPType.UD:
+        qp = self.qp
+        if not qp._open:
+            self._check_open()
+        if qp.qp_type is QPType.UD:
             raise TransportError("RDMA Write requires RC or UC, not UD")
-        self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
+        if (
+            local_mr.machine is not self.machine
+            or remote_mr.machine is not self.remote
+            or not (local_mr._registered and remote_mr._registered)
+            or local_offset < 0
+            or remote_offset < 0
+            or size < 0
+            or local_offset + size > local_mr.size
+            or remote_offset + size > remote_mr.size
+        ):
+            self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
         sim = self.sim
         forward = self._forward_us
         backward = self._backward_us
         completion = Event(sim)
         payload = local_mr.read_local(local_offset, size)
-        reliable = self.qp.qp_type is QPType.RC
+        reliable = qp.qp_type is QPType.RC
 
         def after_issue() -> None:
             # Unreliable transports complete at issue time and may drop

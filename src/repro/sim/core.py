@@ -85,7 +85,10 @@ class Simulator:
     """
 
     def __init__(self, reference: bool = False) -> None:
-        self._now = 0.0
+        #: Current simulated time in microseconds.  A plain attribute
+        #: (every model layer reads it several times per operation) that
+        #: only the run loop writes; read-only by convention.
+        self.now = 0.0
         self._heap: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
         #: FIFO of ``(seq, fn, args)`` entries due at the current time.
         self._ready: Deque[Tuple[int, Callable[..., Any], Tuple[Any, ...]]] = deque()
@@ -99,18 +102,14 @@ class Simulator:
         #: the fast and reference engines.
         self.dispatched = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
-
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` time units."""
-        if delay < 0:
+        # ``not >=`` also rejects NaN, which slips past ``< 0``.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         # Exact zero is an identity (same-timestamp work), not a
@@ -118,7 +117,7 @@ class Simulator:
         if delay == 0.0 and self._fast:  # lint: disable=no-float-eq -- exact-zero identity routes to the ready deque
             self._ready.append((self._seq, fn, args))
         else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
+            heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def _schedule_now(self, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current timestamp (FIFO).
@@ -132,7 +131,7 @@ class Simulator:
         if self._fast:
             self._ready.append((self._seq, fn, args))
         else:
-            heapq.heappush(self._heap, (self._now, self._seq, fn, args))
+            heapq.heappush(self._heap, (self.now, self._seq, fn, args))
 
     def timeout(self, delay: float, value: Any = None) -> "Event":
         """Return an event that triggers after ``delay`` time units."""
@@ -165,6 +164,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is not None and not until >= 0:
+            raise SimulationError(f"run until a negative or NaN time: {until}")
         self._running = True
         # Locals hoisted out of the hot loop: the ``until`` comparison
         # reduces to a float compare against ``limit`` (``inf`` when no
@@ -175,7 +176,7 @@ class Simulator:
         heappop = heapq.heappop
         popleft = ready.popleft
         dispatched = 0
-        now = self._now
+        now = self.now
         try:
             if limit >= now:
                 while True:
@@ -215,11 +216,11 @@ class Simulator:
                     if at > limit:
                         break
                     heappop(heap)
-                    self._now = now = at
+                    self.now = now = at
                     dispatched += 1
                     head[2](*head[3])
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self.dispatched += dispatched
             self._running = False
@@ -227,7 +228,7 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or ``None`` if drained."""
         if self._ready:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else None
 
 
@@ -354,7 +355,7 @@ class Timeout(Event):
     __slots__ = ("_cb",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self.sim = sim
         self._done = False
@@ -369,7 +370,7 @@ class Timeout(Event):
         if delay == 0.0:  # lint: disable=no-float-eq -- exact-zero identity routes to the ready deque
             sim._ready.append((sim._seq, self._fire, ()))
         else:
-            heapq.heappush(sim._heap, (sim._now + delay, sim._seq, self._fire, ()))
+            heapq.heappush(sim._heap, (sim.now + delay, sim._seq, self._fire, ()))
 
     def _fire(self) -> None:
         if self._done:
@@ -496,13 +497,25 @@ class Process:
     def _timer_fired(self) -> None:
         # Fire half of ``yield <float>``: like an event-based timeout,
         # the timer entry itself is engine bookkeeping (dispatch one) and
-        # the process resumes through the ready deque under a seq taken
-        # at fire time (dispatch two) — the same two-seq pattern as the
-        # reference engine's trigger-then-callback, so global order is
-        # unchanged.
+        # the process resumes under a seq taken at fire time (dispatch
+        # two) — the same two-seq pattern as the reference engine's
+        # trigger-then-callback, so global order is unchanged.
         sim = self.sim
         sim._seq += 1
-        sim._ready.append((sim._seq, self._step, (None, None)))
+        ready = sim._ready
+        if not ready:
+            # Inline resume: with the ready deque empty and no heap entry
+            # due at this instant, the resume would be the very next
+            # dispatch anyway, so run it now and skip the deque round
+            # trip.  It still counts as its own dispatch.  A heap entry
+            # keyed exactly ``now`` was armed earlier (smaller seq) and
+            # must run first.
+            heap = sim._heap
+            if not heap or heap[0][0] != sim.now:  # lint: disable=no-float-eq -- (time, seq) merge identity
+                sim.dispatched += 1
+                self._step(None, None)
+                return
+        ready.append((sim._seq, self._step, (None, None)))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if _ATOMIC_STACK:
@@ -537,7 +550,7 @@ class Process:
         typ = type(target)
         if typ is float or typ is int:
             sim = self.sim
-            if target < 0.0:
+            if not target >= 0.0:
                 self._step(
                     None,
                     SimulationError(
@@ -551,7 +564,7 @@ class Process:
                 else:
                     heapq.heappush(
                         sim._heap,
-                        (sim._now + target, sim._seq, self._timer_cb, ()),
+                        (sim.now + target, sim._seq, self._timer_cb, ()),
                     )
             else:
                 sim.timeout(target).wait(self._on_done)

@@ -159,8 +159,8 @@ class ServiceStation:
         layer) schedule directly against the returned instant and skip an
         event round trip per pipeline transit.
         """
-        if service_time < 0:
-            raise SimulationError(f"negative service time: {service_time}")
+        if not service_time >= 0:  # ``not >=`` also rejects NaN
+            raise SimulationError(f"negative or NaN service time: {service_time}")
         now = self.sim.now
         free_at = self._free_at
         if len(free_at) == 1:

@@ -7,6 +7,7 @@ from repro.core.headers import RESPONSE_HEADER_BYTES
 from repro.errors import ProtocolError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.sim import Simulator
+from repro.sim.random import seeded_rng, stable_hash
 
 
 def make_rig(handler, threads=2, config=None, client_count=1):
@@ -133,6 +134,30 @@ class TestServerJitter:
         sim.run()
         latencies = client.stats.latency_us.samples
         assert max(latencies) - min(latencies) > 0.05
+
+    def test_buffered_jitter_matches_per_call_draws(self):
+        """Draws are taken in chunks but handed out one per request; the
+        sequence must be exactly that of one scalar draw per request,
+        past chunk boundaries and across a crash and reboot."""
+        jitter = 0.5
+        config = RfpConfig(server_sw_jitter_us=jitter)
+        _, _, server, _ = make_rig(lambda p, c: (p, 0.5), config=config)
+        reference = seeded_rng(stable_hash(server.name))
+        expected = [float(reference.uniform(0.0, jitter)) for _ in range(700)]
+        got = [server._stub_jitter_us() for _ in range(300)]
+        server.halt()
+        server.restart()
+        got += [server._stub_jitter_us() for _ in range(400)]
+        assert got == expected
+
+    def test_zero_jitter_draws_nothing(self):
+        config = RfpConfig(server_sw_jitter_us=0.0)
+        sim, _, server, (client,) = make_rig(lambda p, c: (p, 0.5), config=config)
+        state = server._jitter_rng.bit_generator.state
+        assert [server._stub_jitter_us() for _ in range(3)] == [0.0] * 3
+        run_calls(sim, client, [b"x"] * 5)
+        sim.run()
+        assert server._jitter_rng.bit_generator.state == state
 
 
 class TestClientIsolation:

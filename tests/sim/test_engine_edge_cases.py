@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, Event, ServiceStation, SimulationError, Simulator
+
+NAN = float("nan")
+ENGINES = pytest.mark.parametrize("reference", [False, True], ids=["fast", "reference"])
 
 
 class TestEventEdgeCases:
@@ -183,3 +186,61 @@ class TestCompositeEdgeCases:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.peek() is None
+
+
+class TestNaNTimesRejected:
+    """NaN slips past every ``< 0`` check; the engine must refuse it
+    rather than key a heap entry or the clock on it."""
+
+    @ENGINES
+    def test_schedule_nan(self, reference):
+        sim = Simulator(reference=reference)
+        with pytest.raises(SimulationError):
+            sim.schedule(NAN, lambda: None)
+        assert sim.peek() is None
+
+    @ENGINES
+    def test_timeout_nan(self, reference):
+        sim = Simulator(reference=reference)
+        with pytest.raises(SimulationError):
+            sim.timeout(NAN)
+        assert sim.peek() is None
+
+    @ENGINES
+    def test_yield_nan_fails_the_process(self, reference):
+        sim = Simulator(reference=reference)
+        seen = []
+
+        def body(sim):
+            try:
+                yield NAN
+            except SimulationError:
+                seen.append(sim.now)
+                raise
+
+        proc = sim.process(body(sim))
+        proc.done.wait(lambda event: None)  # observe the failure
+        sim.run()
+        assert seen == [0.0]
+        assert not proc.done.ok
+        assert sim.now == 0.0
+
+    @ENGINES
+    def test_station_occupy_nan(self, reference):
+        sim = Simulator(reference=reference)
+        station = ServiceStation(sim)
+        with pytest.raises(SimulationError):
+            station.occupy(NAN)
+        assert station.backlog() == 0.0
+        assert station.occupy(1.0) == 1.0
+
+    @ENGINES
+    def test_run_until_nan(self, reference):
+        sim = Simulator(reference=reference)
+        seen = []
+        sim.schedule(1.0, seen.append, "ran")
+        with pytest.raises(SimulationError):
+            sim.run(until=NAN)
+        # The engine is not left marked as running, and still works.
+        sim.run()
+        assert seen == ["ran"]

@@ -8,17 +8,32 @@ allowed to peek at private engine state (``_heap``/``_ready``) because
 queue placement *is* the contract under test.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.sim.core import AllOf, Event, Process, Simulator, Timeout
 
 
+class CountingDeque(deque):
+    """Ready deque that counts appends, so a test can tell a resume that
+    rode the deque from one the timer ran inline."""
+
+    appends = 0
+
+    def append(self, entry):
+        self.appends += 1
+        super().append(entry)
+
+
 def run_both(make_scenario):
-    """Run one scenario under both engines; return (trace, trace, sims)."""
+    """Run one scenario under both engines; return (trace, trace, sims).
+    Each engine's ready deque is a :class:`CountingDeque`."""
     traces = []
     sims = []
     for reference in (False, True):
         sim = Simulator(reference=reference)
+        sim._ready = CountingDeque()
         trace = []
         make_scenario(sim, trace)
         sim.run()
@@ -151,6 +166,78 @@ class TestMergeRule:
         sim = Simulator()
         sim.schedule(4.5, lambda: None)
         assert sim.peek() == 4.5
+
+
+# ----------------------------------------------------------------------
+# Inline resume of direct-delay timers
+# ----------------------------------------------------------------------
+
+
+def _sleeper(sim, trace, delay=1.0):
+    def body():
+        yield delay
+        trace.append(("resumed", sim.now))
+
+    return sim.process(body())
+
+
+class TestInlineResume:
+    def test_nothing_else_due_resumes_without_the_deque(self):
+        def scenario(sim, trace):
+            _sleeper(sim, trace)
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference == [("resumed", 1.0)]
+        # The only append is the process's start step: the timer ran
+        # the resume itself instead of queueing it.
+        assert sim_fast._ready.appends == 1
+        assert sim_fast.dispatched == sim_ref.dispatched == 3
+
+    def test_heap_entry_armed_earlier_for_same_instant_runs_first(self):
+        def scenario(sim, trace):
+            def body():
+                yield 1.0  # timer seq taken at t=0
+                trace.append("resumed")
+
+            def arm():
+                # Armed after the timer, before it fires: its seq is
+                # smaller than the resume's, so it must run first.
+                sim.schedule(1.0, trace.append, "armed-early")
+
+            sim.process(body())
+            sim.schedule(0.0, arm)
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference == ["armed-early", "resumed"]
+        # Start step, the arming callback, and the queued resume.
+        assert sim_fast._ready.appends == 3
+        assert sim_fast.dispatched == sim_ref.dispatched
+
+    def test_timer_popped_by_merge_rule_queues_behind_ready_work(self):
+        def scenario(sim, trace):
+            def first():
+                # Ready work at t=1 whose seq is newer than the timer's:
+                # the merge rule pops the timer while this is pending.
+                sim.schedule(0.0, trace.append, "ready-work")
+
+            sim.schedule(1.0, first)  # seq 1, before the timer
+            _sleeper(sim, trace)  # its timer is armed at t=0 (seq 3)
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference == ["ready-work", ("resumed", 1.0)]
+        # Start step, the ready work, and the resume queued behind it.
+        assert sim_fast._ready.appends == 3
+        assert sim_fast.dispatched == sim_ref.dispatched
+
+    def test_zero_delay_yield_resumes_inline_when_last_in_deque(self):
+        def scenario(sim, trace):
+            _sleeper(sim, trace, delay=0.0)
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference == [("resumed", 0.0)]
+        # Start step and the zero-delay timer; no resume append.
+        assert sim_fast._ready.appends == 2
+        assert sim_fast.dispatched == sim_ref.dispatched
 
 
 # ----------------------------------------------------------------------
