@@ -20,6 +20,10 @@
 CPU accounting mirrors the paper's Fig. 15: remote fetching spins (the
 whole call duration is busy time), server-reply mode is almost idle (only
 post/wake/parse costs are busy).
+
+All three steps run in one generator frame (:meth:`RfpClient._exchange`);
+``client_send`` and ``client_recv`` are its two halves, so the Table 2
+API and ``call`` share every protocol step.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.core.sampling import ResultSampler
 from repro.core.server import ClientChannel, RfpServer
 from repro.errors import ProtocolError
 from repro.hw.machine import Machine
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, Tally, UtilizationMeter
 
 __all__ = ["RfpClient", "RfpClientStats"]
@@ -95,7 +99,11 @@ class RfpClient:
         self.machine = machine
         self.server = server
         self.config = config if config is not None else server.config
-        if self.config.response_buffer_bytes > server.config.response_buffer_bytes:
+        if (
+            self.config.request_buffer_bytes > server.config.request_buffer_bytes
+            or self.config.response_buffer_bytes
+            > server.config.response_buffer_bytes
+        ):
             raise ProtocolError("client expects larger buffers than the server has")
         self.name = name or f"rfp-client@{machine.name}"
         self.policy = SwitchPolicy(self.config)
@@ -117,6 +125,7 @@ class RfpClient:
             machine, self._reply_landing, thread_id=thread_id
         )
         self.endpoint = self.channel.client_endpoint
+        self._on_request_delivery = self._request_delivered
         self._inflight_parity: Optional[int] = None
         self._call_started_at = 0.0
         self._send_completed_at = 0.0
@@ -151,7 +160,7 @@ class RfpClient:
         return self.policy.mode
 
     # ------------------------------------------------------------------
-    # The RPC entry point
+    # The RPC entry point and the Table 2 primitives
     # ------------------------------------------------------------------
 
     def call(self, payload: bytes) -> Generator:
@@ -161,9 +170,7 @@ class RfpClient:
 
             response = yield from client.call(b"...")
         """
-        yield from self.client_send(payload)
-        response = yield from self.client_recv()
-        return response
+        return self._exchange(payload, receive=True)
 
     def client_send(self, payload: bytes) -> Generator:
         """Table 2 ``client_send``: push the request to the server.
@@ -171,40 +178,7 @@ class RfpClient:
         One one-sided RDMA Write places header + payload into this
         client's exclusive request buffer on the server.
         """
-        if self._inflight_parity is not None:
-            raise ProtocolError("client_send before receiving the previous response")
-        config = self.config
-        limit = config.request_buffer_bytes - REQUEST_HEADER_BYTES
-        if len(payload) > limit:
-            raise ProtocolError(f"request of {len(payload)} B exceeds {limit} B")
-        sim = self.sim
-        self._call_started_at = sim.now
-        self.seq += 1
-        parity = self.seq & 1
-        self._request_staging.write_local(0, pack_request(parity, len(payload)))
-        self._request_staging.write_local(REQUEST_HEADER_BYTES, payload)
-        yield config.client_post_cpu_us
-        channel = self.channel
-        completion = self.endpoint.post_write(
-            self._request_staging,
-            0,
-            channel.request_region,
-            0,
-            REQUEST_HEADER_BYTES + len(payload),
-            on_delivery=lambda: self._request_delivered(channel),
-        )
-        yield completion
-        self._send_completed_at = sim.now
-        # Re-check after resuming: the guard above ran before this
-        # process yielded, so a concurrent send interleaved at the
-        # yields would slip past it and both would claim the channel.
-        if self._inflight_parity is not None:
-            raise ProtocolError(
-                "concurrent client_send interleaved on one channel"
-            )
-        self._inflight_parity = parity
-        if self.tracer is not None:
-            self._trace("request_sent", seq=self.seq, bytes=len(payload))
+        return self._exchange(payload, receive=False)
 
     def client_recv(self) -> Generator:
         """Table 2 ``client_recv``: obtain the response for the last send.
@@ -213,33 +187,187 @@ class RfpClient:
         the hybrid policy fires); blocks for the pushed reply in
         ``SERVER_REPLY`` mode.
         """
-        if self._inflight_parity is None:
-            raise ProtocolError("client_recv without a preceding client_send")
-        parity = self._inflight_parity
-        config = self.config
-        sim = self.sim
-        if self.policy.mode is Mode.REMOTE_FETCH:
-            response = yield from self._fetch_response(parity)
-            if response is None:
-                # Switched to server-reply mid-call; the flag write is
-                # already published, the server will push the response.
-                response = yield from self._await_reply(parity)
+        return self._exchange(None, receive=True)
+
+    def _exchange(self, payload: Optional[bytes], receive: bool) -> Generator:
+        """The protocol body behind :meth:`call`, :meth:`client_send`
+        (``receive`` false) and :meth:`client_recv` (``payload`` None).
+
+        One generator frame covers the whole call: the send, the fetch
+        loop, the remainder read, the mid-call switch and the
+        server-reply wait.
+        """
+        if payload is None:
+            parity = self._inflight_parity
+            if parity is None:
+                raise ProtocolError("client_recv without a preceding client_send")
         else:
-            response = yield from self._await_reply(parity)
-            # The client spun only while posting the request; the reply
-            # wait itself is blocked (this is what Fig. 15 measures).
-            self.stats.busy.add_busy(
-                (self._send_completed_at - self._call_started_at)
-                + config.client_wake_cpu_us
-                + config.client_parse_cpu_us
+            parity = self._stage_request(payload)
+            yield self.config.client_post_cpu_us
+            yield self.endpoint.post_write(
+                self._request_staging,
+                0,
+                self.channel.request_region,
+                0,
+                REQUEST_HEADER_BYTES + len(payload),
+                on_delivery=self._on_request_delivery,
             )
-        self.stats.calls.increment()
-        self.stats.latency_us.record(sim.now - self._call_started_at)
+            self._request_sent(parity, len(payload))
+            if not receive:
+                return None
+        config = self.config
+        channel = self.channel
+        stats = self.stats
+        policy = self.policy
+        landing = self._fetch_landing
+        response: Optional[bytes] = None
+        fetching = policy.mode is Mode.REMOTE_FETCH
+        if fetching:
+            # In fetch mode the client spins from the moment it posts the
+            # request until the result is in hand (Fig. 15's 100% CPU).
+            fetch_size = config.fetch_size
+            failed = 0
+            slow_noted = False
+            while True:
+                yield config.client_post_cpu_us
+                if self.tracer is not None:
+                    self._trace(
+                        "fetch_read",
+                        seq=self.seq,
+                        attempt=failed + 1,
+                        bytes=fetch_size,
+                    )
+                yield self.endpoint.post_read(
+                    landing, 0, channel.response_region, 0, fetch_size
+                )
+                yield config.client_parse_cpu_us
+                stats.remote_reads.value += 1
+                status, size, _ = unpack_response(
+                    landing.read_local(0, RESPONSE_HEADER_BYTES)
+                )
+                if status == parity:
+                    # Only a response that overflowed the first F-byte
+                    # read needs a plan and a remainder read.
+                    if RESPONSE_HEADER_BYTES + size > fetch_size:
+                        plan = plan_fetch(size, fetch_size)
+                        yield config.client_post_cpu_us
+                        if self.tracer is not None:
+                            self._trace(
+                                "remainder_read",
+                                seq=self.seq,
+                                bytes=plan.remainder_bytes,
+                            )
+                        yield self.endpoint.post_read(
+                            landing,
+                            plan.remainder_offset,
+                            channel.response_region,
+                            plan.remainder_offset,
+                            plan.remainder_bytes,
+                        )
+                        stats.remote_reads.value += 1
+                    response = landing.read_local(RESPONSE_HEADER_BYTES, size)
+                    if self.result_sampler is not None:
+                        self.result_sampler.observe(size)
+                    if self.tracer is not None:
+                        self._trace(
+                            "fetch_success", seq=self.seq, attempts=failed + 1
+                        )
+                    stats.fetch_attempts.record(failed + 1)
+                    if not slow_noted:
+                        policy.note_fast_call()
+                    stats.busy.add_busy(self.sim.now - self._call_started_at)
+                    break
+                failed += 1
+                if failed >= config.retry_bound and not slow_noted:
+                    slow_noted = True
+                    if policy.note_slow_call():
+                        # Switch mid-call: publish the flag, then wait for
+                        # the push the server now owes this call.
+                        self._trace("mode_switch", seq=self.seq, to="SERVER_REPLY")
+                        stats.fetch_attempts.record(failed)
+                        yield config.client_post_cpu_us
+                        yield self._post_mode_flag(Mode.SERVER_REPLY)
+                        stats.busy.add_busy(self.sim.now - self._call_started_at)
+                        break
+        if response is None:
+            stats.reply_waits.value += 1
+            reply_landing = self._reply_landing
+            while True:
+                yield channel.reply_store.get()
+                yield config.client_wake_cpu_us
+                status, size, time_tenths = unpack_response(
+                    reply_landing.read_local(0, RESPONSE_HEADER_BYTES)
+                )
+                if status == parity:
+                    break
+                # A stale late reply from a previous call: ignore it.
+            response = reply_landing.read_local(RESPONSE_HEADER_BYTES, size)
+            if self.tracer is not None:
+                self._trace("reply_received", seq=self.seq, bytes=size)
+            if self.result_sampler is not None:
+                self.result_sampler.observe(size)
+            if policy.mode is Mode.SERVER_REPLY and policy.note_reply_time(
+                time_tenths / 10.0
+            ):
+                self._trace("mode_switch", seq=self.seq, to="REMOTE_FETCH")
+                yield config.client_post_cpu_us
+                yield self._post_mode_flag(Mode.REMOTE_FETCH)
+            if not fetching:
+                # The client spun only while posting the request; the
+                # reply wait itself is blocked (this is what Fig. 15
+                # measures).
+                stats.busy.add_busy(
+                    (self._send_completed_at - self._call_started_at)
+                    + config.client_wake_cpu_us
+                    + config.client_parse_cpu_us
+                )
+        self._call_done(parity)
+        return response
+
+    # ------------------------------------------------------------------
+    # Call bookkeeping shared by every path (none of these yield)
+    # ------------------------------------------------------------------
+
+    def _stage_request(self, payload: bytes) -> int:
+        """Guard, number and stage one request; returns its parity."""
+        if self._inflight_parity is not None:
+            raise ProtocolError("client_send before receiving the previous response")
+        limit = self.config.request_buffer_bytes - REQUEST_HEADER_BYTES
+        if len(payload) > limit:
+            raise ProtocolError(f"request of {len(payload)} B exceeds {limit} B")
+        self._call_started_at = self.sim.now
+        self.seq += 1
+        parity = self.seq & 1
+        self._request_staging.write_local(
+            0, pack_request(parity, len(payload)) + payload
+        )
+        return parity
+
+    def _request_sent(self, parity: int, size: int) -> None:
+        """The request write completed: claim the channel for the call."""
+        self._send_completed_at = self.sim.now
+        # Re-check after resuming: the guard in _stage_request ran before
+        # the process yielded, so a concurrent send interleaved at the
+        # yields would slip past it and both would claim the channel.
+        if self._inflight_parity is not None:
+            raise ProtocolError(
+                "concurrent client_send interleaved on one channel"
+            )
+        self._inflight_parity = parity
+        if self.tracer is not None:
+            self._trace("request_sent", seq=self.seq, bytes=size)
+
+    def _call_done(self, parity: int) -> None:
+        """Record the finished call and release the channel."""
+        stats = self.stats
+        latency = self.sim.now - self._call_started_at
+        stats.calls.value += 1
+        stats.latency_us.record(latency)
         if self.tracer is not None:
             self._trace(
                 "call_done",
                 seq=self.seq,
-                latency_us=round(sim.now - self._call_started_at, 3),
+                latency_us=round(latency, 3),
                 mode=self.policy.mode.name,
             )
         # Re-check after the yields: only the call that owns the
@@ -250,131 +378,21 @@ class RfpClient:
                 "concurrent client_recv interleaved on one channel"
             )
         self._inflight_parity = None
-        return response
 
-    def _request_delivered(self, channel: ClientChannel) -> None:
+    def _request_delivered(self) -> None:
+        """on_delivery hook of the request write (bound once per client)."""
+        channel = self.channel
         channel.notify_request_delivery()
         self.server.enqueue(channel)
 
-    # ------------------------------------------------------------------
-    # Remote fetching
-    # ------------------------------------------------------------------
-
-    def _fetch_response(self, parity: int) -> Generator:
-        """Repeated remote fetching; None means "switched mid-call"."""
-        sim = self.sim
-        config = self.config
-        channel = self.channel
-        # In fetch mode the client spins from the moment it posts the
-        # request until the result is in hand (Fig. 15's 100% CPU).
-        spin_start = self._call_started_at
-        failed = 0
-        slow_noted = False
-        while True:
-            yield config.client_post_cpu_us
-            if self.tracer is not None:
-                self._trace(
-                    "fetch_read",
-                    seq=self.seq,
-                    attempt=failed + 1,
-                    bytes=config.fetch_size,
-                )
-            yield self.endpoint.post_read(
-                self._fetch_landing, 0, channel.response_region, 0, config.fetch_size
-            )
-            yield config.client_parse_cpu_us
-            self.stats.remote_reads.increment()
-            status, size, _ = unpack_response(
-                self._fetch_landing.read_local(0, RESPONSE_HEADER_BYTES)
-            )
-            if status == parity:
-                response = yield from self._collect_payload(size)
-                if self.result_sampler is not None:
-                    self.result_sampler.observe(size)
-                if self.tracer is not None:
-                    self._trace(
-                        "fetch_success", seq=self.seq, attempts=failed + 1
-                    )
-                self.stats.fetch_attempts.record(failed + 1)
-                if not slow_noted:
-                    self.policy.note_fast_call()
-                self.stats.busy.add_busy(sim.now - spin_start)
-                return response
-            failed += 1
-            if failed >= config.retry_bound and not slow_noted:
-                slow_noted = True
-                if self.policy.note_slow_call():
-                    self._trace("mode_switch", seq=self.seq, to="SERVER_REPLY")
-                    self.stats.fetch_attempts.record(failed)
-                    yield from self._write_mode_flag(Mode.SERVER_REPLY)
-                    self.stats.busy.add_busy(sim.now - spin_start)
-                    return None
-
-    def _collect_payload(self, size: int) -> Generator:
-        """Issue the remainder read when the response exceeded F."""
-        fetch_size = self.config.fetch_size
-        # Only a response that overflowed the first F-byte read needs a
-        # plan; the common one-read case skips building it.
-        if RESPONSE_HEADER_BYTES + size > fetch_size:
-            plan = plan_fetch(size, fetch_size)
-            yield self.config.client_post_cpu_us
-            if self.tracer is not None:
-                self._trace(
-                    "remainder_read", seq=self.seq, bytes=plan.remainder_bytes
-                )
-            yield self.endpoint.post_read(
-                self._fetch_landing,
-                plan.remainder_offset,
-                self.channel.response_region,
-                plan.remainder_offset,
-                plan.remainder_bytes,
-            )
-            self.stats.remote_reads.increment()
-        return self._fetch_landing.read_local(RESPONSE_HEADER_BYTES, size)
-
-    # ------------------------------------------------------------------
-    # Server-reply mode
-    # ------------------------------------------------------------------
-
-    def _await_reply(self, parity: int) -> Generator:
-        """Block until the server pushes a response with our parity."""
-        sim = self.sim
-        config = self.config
-        channel = self.channel
-        self.stats.reply_waits.increment()
-        while True:
-            yield channel.reply_store.get()
-            yield config.client_wake_cpu_us
-            status, size, time_tenths = unpack_response(
-                self._reply_landing.read_local(0, RESPONSE_HEADER_BYTES)
-            )
-            if status != parity:
-                # A stale late reply from a previous call: ignore it.
-                continue
-            response = self._reply_landing.read_local(RESPONSE_HEADER_BYTES, size)
-            if self.tracer is not None:
-                self._trace("reply_received", seq=self.seq, bytes=size)
-            if self.result_sampler is not None:
-                self.result_sampler.observe(size)
-            if self.policy.mode is Mode.SERVER_REPLY:
-                if self.policy.note_reply_time(time_tenths / 10.0):
-                    self._trace("mode_switch", seq=self.seq, to="REMOTE_FETCH")
-                    yield from self._write_mode_flag(Mode.REMOTE_FETCH)
-            return response
-
-    # ------------------------------------------------------------------
-    # Mode flag
-    # ------------------------------------------------------------------
-
-    def _write_mode_flag(self, new_mode: Mode) -> Generator:
-        """Publish the client's mode with a 1-byte one-sided write."""
-        sim = self.sim
+    def _post_mode_flag(self, new_mode: Mode) -> Event:
+        """Publish the client's mode with a 1-byte one-sided write; the
+        caller has already charged the post CPU."""
         self._flag_staging.write_local(0, bytes([new_mode.value]))
-        yield self.config.client_post_cpu_us
         channel = self.channel
         server = self.server
         self._trace("flag_published", seq=self.seq, mode=new_mode.name)
-        yield self.endpoint.post_write(
+        return self.endpoint.post_write(
             self._flag_staging,
             0,
             channel.flag_region,

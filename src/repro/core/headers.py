@@ -32,6 +32,7 @@ __all__ = [
     "pack_request",
     "unpack_request",
     "pack_response",
+    "pack_timed_response",
     "unpack_response",
 ]
 
@@ -84,6 +85,18 @@ def pack_response(status: int, size: int, time_tenths_us: int = 0) -> bytes:
     if not 0 <= time_tenths_us <= _TIME_LIMIT:
         raise ProtocolError(f"time field overflow: {time_tenths_us}")
     return _RESPONSE_STRUCT.pack(_pack_status_size(status, size), time_tenths_us)
+
+
+def pack_timed_response(status: int, size: int, response_time_us: float) -> bytes:
+    """:func:`pack_response` with the time field from
+    :meth:`ResponseHeader.encode_time`, in one call (the server's
+    publish path); same checks, same bytes."""
+    if response_time_us < 0:
+        raise ProtocolError(f"negative response time: {response_time_us}")
+    return _RESPONSE_STRUCT.pack(
+        _pack_status_size(status, size),
+        min(_TIME_LIMIT, int(round(response_time_us * 10.0))),
+    )
 
 
 def unpack_response(raw: bytes) -> "tuple[int, int, int]":

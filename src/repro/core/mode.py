@@ -46,7 +46,9 @@ class SwitchPolicy:
 
     def note_fast_call(self) -> None:
         """A remote-fetch call succeeded within ``R`` failed retries."""
-        self._require(Mode.REMOTE_FETCH)
+        # Tested inline: this runs once per fetched call.
+        if self.mode is not Mode.REMOTE_FETCH:
+            self._require(Mode.REMOTE_FETCH)
         self.consecutive_slow = 0
 
     def note_slow_call(self) -> bool:

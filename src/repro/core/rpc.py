@@ -13,7 +13,7 @@ Wire format: ``u8 function_id | u8 status | arguments...`` on requests,
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Generator, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.core.client import RfpClient
 from repro.errors import ProtocolError
@@ -35,33 +35,53 @@ class RpcServer:
     """Function registry + dispatcher; plugs into ``RfpServer`` as handler."""
 
     def __init__(self) -> None:
-        self._functions: Dict[int, RpcHandler] = {}
+        #: Handlers indexed by the request's function-id byte.
+        self._table: List[Optional[RpcHandler]] = [None] * 256
 
     def register(self, function_id: int, handler: RpcHandler) -> None:
         if not 0 <= function_id <= 0xFF:
             raise ProtocolError(f"function id must fit a byte: {function_id}")
-        if function_id in self._functions:
+        if self._table[function_id] is not None:
             raise ProtocolError(f"function {function_id} registered twice")
-        self._functions[function_id] = handler
+        self._table[function_id] = handler
 
     def handle(self, payload: bytes, context) -> Tuple[bytes, float]:
         """The ``RfpServer`` handler: unmarshal, dispatch, marshal."""
         if len(payload) < _REQUEST_PREFIX.size:
             raise ProtocolError(f"runt RPC request of {len(payload)} bytes")
-        function_id, _reserved = _REQUEST_PREFIX.unpack_from(payload)
-        arguments = payload[_REQUEST_PREFIX.size :]
-        handler = self._functions.get(function_id)
+        handler = self._table[payload[0]]
         if handler is None:
             return _RESPONSE_PREFIX.pack(RPC_NO_FUNCTION), 0.0
-        status, result, process_us = handler(arguments, context)
+        status, result, process_us = handler(
+            payload[_REQUEST_PREFIX.size :], context
+        )
         return _RESPONSE_PREFIX.pack(status) + result, process_us
 
 
 class RpcClient:
-    """Client stub: marshals calls through an :class:`RfpClient`."""
+    """Client stub: marshals calls through an :class:`RfpClient`.
+
+    :meth:`encode` and :meth:`decode` are the whole stub; callers that
+    hold the transport themselves (Jakiro's client) use them around
+    ``transport.call`` directly.
+    """
 
     def __init__(self, transport: RfpClient) -> None:
         self.transport = transport
+
+    @staticmethod
+    def encode(function_id: int, arguments: bytes) -> bytes:
+        """Request payload invoking ``function_id`` with ``arguments``."""
+        if not 0 <= function_id <= 0xFF:
+            raise ProtocolError(f"function id must fit a byte: {function_id}")
+        return _REQUEST_PREFIX.pack(function_id, 0) + arguments
+
+    @staticmethod
+    def decode(response: bytes) -> Tuple[int, bytes]:
+        """``(status, result_bytes)`` of a response payload."""
+        if len(response) < _RESPONSE_PREFIX.size:
+            raise ProtocolError(f"runt RPC response of {len(response)} bytes")
+        return response[0], response[_RESPONSE_PREFIX.size :]
 
     def call(self, function_id: int, arguments: bytes) -> Generator:
         """Process body: invoke a remote function.
@@ -70,11 +90,6 @@ class RpcClient:
 
             status, result = yield from rpc.call(GET, key_bytes)
         """
-        if not 0 <= function_id <= 0xFF:
-            raise ProtocolError(f"function id must fit a byte: {function_id}")
-        request = _REQUEST_PREFIX.pack(function_id, 0) + arguments
+        request = self.encode(function_id, arguments)
         response = yield from self.transport.call(request)
-        if len(response) < _RESPONSE_PREFIX.size:
-            raise ProtocolError(f"runt RPC response of {len(response)} bytes")
-        (status,) = _RESPONSE_PREFIX.unpack_from(response)
-        return status, response[_RESPONSE_PREFIX.size :]
+        return self.decode(response)

@@ -30,8 +30,7 @@ from repro.core.config import RfpConfig
 from repro.core.headers import (
     REQUEST_HEADER_BYTES,
     RESPONSE_HEADER_BYTES,
-    ResponseHeader,
-    pack_response,
+    pack_timed_response,
     unpack_request,
 )
 from repro.core.mode import Mode
@@ -262,8 +261,8 @@ class RfpServer:
                 )
 
     def _thread_body(self, thread_id: int, store: Store):
-        sim = self.sim
         config = self.config
+        spec = self.machine.rnic.spec
         has_jitter = config.server_sw_jitter_us > 0
         while True:
             channel: ClientChannel = yield store.get()
@@ -285,7 +284,10 @@ class RfpServer:
                 return
             self._publish_response(channel, status, response)
             if channel.mode is Mode.SERVER_REPLY:
-                yield from self._send_reply(channel)
+                # _send_reply without a generator frame per reply.
+                total = RESPONSE_HEADER_BYTES + channel.response_size
+                yield spec.post_cpu_us + total * config.reply_send_per_byte_us
+                self._push_reply(channel, total)
 
     def _stub_jitter_us(self) -> float:
         """Per-request software-timing noise (seeded from the server name,
@@ -310,16 +312,15 @@ class RfpServer:
                 f"response of {len(response)} B exceeds the {limit} B buffer"
             )
         response_time = self.sim.now - channel.request_delivered_at
-        packed = pack_response(
-            parity, len(response), ResponseHeader.encode_time(response_time)
-        )
-        channel.response_region.write_local(RESPONSE_HEADER_BYTES, response)
-        channel.response_region.write_local(0, packed)
+        packed = pack_timed_response(parity, len(response), response_time)
+        region = channel.response_region
+        region.write_local(RESPONSE_HEADER_BYTES, response)
+        region.write_local(0, packed)
         channel.state = ClientChannel.DONE
         channel.response_seq = channel.seq_seen
         channel.response_parity = parity
         channel.response_size = len(response)
-        self.stats.requests.increment()
+        self.stats.requests.value += 1
         self.stats.response_time_us.record(response_time)
         if self.tracer is not None:
             self.tracer.record(
@@ -340,9 +341,16 @@ class RfpServer:
         the post cost is charged to the thread, while the out-bound
         pipeline rate-limits the actual sends.
         """
-        spec = self.machine.rnic.spec
         total = RESPONSE_HEADER_BYTES + channel.response_size
-        yield spec.post_cpu_us + total * self.config.reply_send_per_byte_us
+        yield (
+            self.machine.rnic.spec.post_cpu_us
+            + total * self.config.reply_send_per_byte_us
+        )
+        self._push_reply(channel, total)
+
+    def _push_reply(self, channel: ClientChannel, total: int) -> None:
+        """Post the reply write of ``total`` bytes (post CPU already
+        charged) and record it."""
         channel.server_endpoint.post_write(
             channel.response_region,
             0,
@@ -352,7 +360,7 @@ class RfpServer:
             on_delivery=lambda: channel.reply_store.put(total),
         )
         channel.replied_seq = channel.response_seq
-        self.stats.replies_sent.increment()
+        self.stats.replies_sent.value += 1
         if self.tracer is not None:
             self.tracer.record(
                 "rfp.server",

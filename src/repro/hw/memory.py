@@ -38,7 +38,7 @@ class MemoryRegion:
     access, mirroring ibverbs semantics.
     """
 
-    __slots__ = ("machine", "size", "name", "mr_id", "_data", "_registered")
+    __slots__ = ("machine", "size", "name", "mr_id", "_view", "_registered")
 
     def __init__(self, machine: "Machine", size: int, name: str = "") -> None:
         if size <= 0:
@@ -47,7 +47,10 @@ class MemoryRegion:
         self.size = size
         self.mr_id = next(_MR_IDS)
         self.name = name or f"mr{self.mr_id}"
-        self._data = bytearray(size)
+        # The bytes live in a bytearray reached only through this view:
+        # slicing a memoryview copies once on read and assigns in place
+        # on write, about twice as fast as bytearray slicing.
+        self._view = memoryview(bytearray(size))
         self._registered = True
 
     @property
@@ -73,19 +76,19 @@ class MemoryRegion:
         # accessors run several times per simulated op across every bench.
         if offset < 0 or length < 0 or offset + length > self.size or not self._registered:
             self._check(offset, length)
-        return bytes(self._data[offset : offset + length])
+        return self._view[offset : offset + length].tobytes()
 
     def write_local(self, offset: int, data: bytes) -> None:
         """Host-CPU write (atomic at the current instant)."""
         length = len(data)
         if offset < 0 or offset + length > self.size or not self._registered:
             self._check(offset, length)
-        self._data[offset : offset + length] = data
+        self._view[offset : offset + length] = data
 
     def fill(self, offset: int, length: int, byte: int = 0) -> None:
         """Zero/fill a range (buffer recycling)."""
         self._check(offset, length)
-        self._data[offset : offset + length] = bytes([byte]) * length
+        self._view[offset : offset + length] = bytes([byte]) * length
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemoryRegion({self.name}, {self.size}B on {self.machine.name})"

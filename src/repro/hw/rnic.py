@@ -170,25 +170,29 @@ class RNIC:
     # ------------------------------------------------------------------
 
     def occupy_outbound(self, size_bytes: int, kind: str = "write") -> float:
-        """Enqueue one issued op; returns the instant the NIC has sent it."""
-        self.outbound_ops += 1
-        self.outbound_bytes += size_bytes
+        """Enqueue one issued op; returns the instant the NIC has sent it.
+
+        The op is counted only once its service time is known, so an op
+        the model rejects leaves the tallies untouched."""
         service = self._out_service_cache.get((size_bytes, kind))
         if service is None:
             service = self._out_service_cache[(size_bytes, kind)] = (
                 self.outbound_service_us(size_bytes, kind)
             )
+        self.outbound_ops += 1
+        self.outbound_bytes += size_bytes
         return self.out_pipeline.occupy(service)
 
     def occupy_inbound(self, size_bytes: int) -> float:
-        """Enqueue one served op; returns the instant the NIC has handled it."""
-        self.inbound_ops += 1
-        self.inbound_bytes += size_bytes
+        """Enqueue one served op; returns the instant the NIC has handled
+        it.  Counted only after the service time is known, as outbound."""
         service = self._in_service_cache.get(size_bytes)
         if service is None:
             service = self._in_service_cache[size_bytes] = self.inbound_service_us(
                 size_bytes
             )
+        self.inbound_ops += 1
+        self.inbound_bytes += size_bytes
         return self.in_pipeline.occupy(service)
 
     def submit_outbound(self, size_bytes: int, kind: str = "write") -> Event:

@@ -140,7 +140,10 @@ class Endpoint:
         self.sim = qp.sim
         self.machine = machine
         self.remote = remote
-        self._inbox: Store = Store(qp.sim)
+        #: Two-sided Send/Recv queue, built on first use: one-sided
+        #: traffic (all of RFP) never touches it, and a Store holds two
+        #: preallocated deques.
+        self._inbox: Optional[Store] = None
         self._peer: Optional["Endpoint"] = None
         # Single-switch fabric: propagation between a fixed machine pair
         # never changes, so hoist both directions out of the verb paths.
@@ -181,6 +184,31 @@ class Endpoint:
         remote_mr._check(remote_offset, size)
 
     # ------------------------------------------------------------------
+    # Shared verb stages
+    # ------------------------------------------------------------------
+
+    # Pipeline occupancy is deterministic, so each stage schedules the
+    # next one directly against its known completion instant — no
+    # intermediate events.  A verb travels as one tuple, ``(served,
+    # size, completion, *operands)``, through bound-method stages, so
+    # posting it builds no closures.  The in-bound submission still
+    # happens *at arrival time* (_at_remote): remote queueing depends on
+    # the arrival order of ops from every issuer.
+
+    def _issued_unreliably(self, op: tuple) -> None:
+        # Unreliable transports complete at issue time and may drop the
+        # message on the wire.
+        op[2].trigger(op[1])
+        if self.qp._drops_unreliable_message():
+            return  # vanished on the wire; the sender never knows
+        self.sim.schedule(self._forward_us, self._at_remote, op)
+
+    def _at_remote(self, op: tuple) -> None:
+        sim = self.sim
+        done_in = self.remote.rnic.occupy_inbound(op[1])
+        sim.schedule(done_in - sim.now, op[0], op)
+
+    # ------------------------------------------------------------------
     # One-sided verbs
     # ------------------------------------------------------------------
 
@@ -219,33 +247,39 @@ class Endpoint:
             self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
         sim = self.sim
-        read_extra = self.machine.rnic.spec.read_extra_us
-        forward = self._forward_us
-        backward = self._backward_us
         completion = Event(sim)
-
-        # Pipeline occupancy is deterministic, so each stage schedules
-        # the next one directly against its known completion instant —
-        # no intermediate events.  The in-bound submission still happens
-        # *at arrival time* (at_remote): remote queueing depends on the
-        # arrival order of ops from every issuer.
-        def at_remote() -> None:
-            done_in = self.remote.rnic.occupy_inbound(size)
-            sim.schedule(done_in - sim.now, after_serve)
-
-        def after_serve() -> None:
-            snapshot = remote_mr.read_local(remote_offset, size)
-            sim.schedule(backward + read_extra, deliver, snapshot)
-
-        def deliver(snapshot: bytes) -> None:
-            local_mr.write_local(local_offset, snapshot)
-            completion.trigger(size)
-
         done_out = self.machine.rnic.occupy_outbound(
             READ_REQUEST_WIRE_BYTES, kind="read"
         )
-        sim.schedule(done_out - sim.now + forward, at_remote)
+        sim.schedule(
+            done_out - sim.now + self._forward_us,
+            self._at_remote,
+            (
+                self._read_served,
+                size,
+                completion,
+                local_mr,
+                local_offset,
+                remote_mr,
+                remote_offset,
+            ),
+        )
         return completion
+
+    def _read_served(self, op: tuple) -> None:
+        _, size, _, _, _, remote_mr, remote_offset = op
+        snapshot = remote_mr.read_local(remote_offset, size)
+        self.sim.schedule(
+            self._backward_us + self.machine.rnic.spec.read_extra_us,
+            self._read_delivered,
+            op,
+            snapshot,
+        )
+
+    def _read_delivered(self, op: tuple, snapshot: bytes) -> None:
+        _, size, completion, local_mr, local_offset, _, _ = op
+        local_mr.write_local(local_offset, snapshot)
+        completion.trigger(size)
 
     def post_write(
         self,
@@ -282,37 +316,30 @@ class Endpoint:
             self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
         sim = self.sim
-        forward = self._forward_us
-        backward = self._backward_us
         completion = Event(sim)
-        payload = local_mr.read_local(local_offset, size)
-        reliable = qp.qp_type is QPType.RC
-
-        def after_issue() -> None:
-            # Unreliable transports complete at issue time and may drop
-            # the message on the wire.
-            completion.trigger(size)
-            if self.qp._drops_unreliable_message():
-                return  # vanished on the wire; the sender never knows
-            sim.schedule(forward, at_remote)
-
-        def at_remote() -> None:
-            done_in = self.remote.rnic.occupy_inbound(size)
-            sim.schedule(done_in - sim.now, after_serve)
-
-        def after_serve() -> None:
-            remote_mr.write_local(remote_offset, payload)
-            if on_delivery is not None:
-                on_delivery()
-            if reliable:
-                sim.schedule(backward, completion.trigger, size)
-
+        op = (
+            self._write_served,
+            size,
+            completion,
+            remote_mr,
+            remote_offset,
+            local_mr.read_local(local_offset, size),
+            on_delivery,
+        )
         done_out = self.machine.rnic.occupy_outbound(size)
-        if reliable:
-            sim.schedule(done_out - sim.now + forward, at_remote)
+        if qp.qp_type is QPType.RC:
+            sim.schedule(done_out - sim.now + self._forward_us, self._at_remote, op)
         else:
-            sim.schedule(done_out - sim.now, after_issue)
+            sim.schedule(done_out - sim.now, self._issued_unreliably, op)
         return completion
+
+    def _write_served(self, op: tuple) -> None:
+        _, size, completion, remote_mr, remote_offset, payload, on_delivery = op
+        remote_mr.write_local(remote_offset, payload)
+        if on_delivery is not None:
+            on_delivery()
+        if self.qp.qp_type is QPType.RC:
+            self.sim.schedule(self._backward_us, completion.trigger, size)
 
     # ------------------------------------------------------------------
     # Atomic verbs
@@ -369,28 +396,25 @@ class Endpoint:
         remote_mr._check(remote_offset, 8)
 
         sim = self.sim
-        spec = self.machine.rnic.spec
-        forward = self._forward_us
-        backward = self._backward_us
         completion = Event(sim)
-
-        def at_remote() -> None:
-            done_in = self.remote.rnic.occupy_inbound(8)
-            sim.schedule(done_in - sim.now, after_serve)
-
-        def after_serve() -> None:
-            original = int.from_bytes(
-                remote_mr.read_local(remote_offset, 8), "little"
-            )
-            remote_mr.write_local(
-                remote_offset, update(original).to_bytes(8, "little")
-            )
-            # Atomics keep read-like state in the issuing NIC.
-            sim.schedule(backward + spec.read_extra_us, completion.trigger, original)
-
         done_out = self.machine.rnic.occupy_outbound(ATOMIC_WIRE_BYTES, kind="read")
-        sim.schedule(done_out - sim.now + forward, at_remote)
+        sim.schedule(
+            done_out - sim.now + self._forward_us,
+            self._at_remote,
+            (self._atomic_served, 8, completion, remote_mr, remote_offset, update),
+        )
         return completion
+
+    def _atomic_served(self, op: tuple) -> None:
+        _, _, completion, remote_mr, remote_offset, update = op
+        original = int.from_bytes(remote_mr.read_local(remote_offset, 8), "little")
+        remote_mr.write_local(remote_offset, update(original).to_bytes(8, "little"))
+        # Atomics keep read-like state in the issuing NIC.
+        self.sim.schedule(
+            self._backward_us + self.machine.rnic.spec.read_extra_us,
+            completion.trigger,
+            original,
+        )
 
     # ------------------------------------------------------------------
     # Two-sided verbs
@@ -406,46 +430,38 @@ class Endpoint:
         self._check_open()
         sim = self.sim
         size = len(payload)
-        forward = self._forward_us
-        backward = self._backward_us
         completion = Event(sim)
-        reliable = self.qp.qp_type is QPType.RC
-        issue_kind = "ud_send" if self.qp.qp_type is QPType.UD else "write"
-        peer = self._peer
-
-        def after_issue() -> None:
-            # Unreliable transports complete at issue time and may drop
-            # the message on the wire.
-            completion.trigger(size)
-            if self.qp._drops_unreliable_message():
-                return  # vanished on the wire; the sender never knows
-            sim.schedule(forward, at_remote)
-
-        def at_remote() -> None:
-            done_in = self.remote.rnic.occupy_inbound(size)
-            sim.schedule(done_in - sim.now, after_serve)
-
-        def after_serve() -> None:
-            peer._inbox.put(payload)
-            if reliable:
-                sim.schedule(backward, completion.trigger, size)
-
-        done_out = self.machine.rnic.occupy_outbound(size, kind=issue_kind)
-        if reliable:
-            sim.schedule(done_out - sim.now + forward, at_remote)
+        qp_type = self.qp.qp_type
+        op = (self._send_served, size, completion, payload)
+        done_out = self.machine.rnic.occupy_outbound(
+            size, kind="ud_send" if qp_type is QPType.UD else "write"
+        )
+        if qp_type is QPType.RC:
+            sim.schedule(done_out - sim.now + self._forward_us, self._at_remote, op)
         else:
-            sim.schedule(done_out - sim.now, after_issue)
+            sim.schedule(done_out - sim.now, self._issued_unreliably, op)
         return completion
+
+    def _send_served(self, op: tuple) -> None:
+        _, size, completion, payload = op
+        self._peer._inbox_store().put(payload)
+        if self.qp.qp_type is QPType.RC:
+            self.sim.schedule(self._backward_us, completion.trigger, size)
 
     def recv(self) -> Event:
         """Event yielding the next Send payload addressed to this endpoint."""
         self._check_open()
-        return self._inbox.get()
+        return self._inbox_store().get()
 
     @property
     def pending_messages(self) -> int:
         """Messages delivered but not yet received."""
-        return len(self._inbox)
+        return 0 if self._inbox is None else len(self._inbox)
+
+    def _inbox_store(self) -> Store:
+        if self._inbox is None:
+            self._inbox = Store(self.sim)
+        return self._inbox
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Endpoint({self.machine.name} -> {self.remote.name})"

@@ -24,6 +24,7 @@ from repro.kv.serialization import (
     PUT_FUNCTION,
     STATUS_NOT_FOUND,
     STATUS_OK,
+    STATUS_TOO_LARGE,
     pack_get_request,
     pack_put_request,
     unpack_get_request,
@@ -41,6 +42,7 @@ __all__ = [
     "PUT_FUNCTION",
     "STATUS_NOT_FOUND",
     "STATUS_OK",
+    "STATUS_TOO_LARGE",
     "StoreCostModel",
     "crc64",
     "pack_get_request",

@@ -14,8 +14,15 @@ Two halves:
   NIC's contention model regardless of how many transports it holds.
 
 The RPC flow is exactly Fig. 8(a): ``prepare request → client_send →
-client_recv``; all the remote-fetch machinery stays beneath the RPC
-stubs.
+client_recv``.  The client marshals with the RPC stub's plain
+:meth:`~repro.core.rpc.RpcClient.encode`/``decode`` and yields straight
+from the RFP transport's ``call``, so all the remote-fetch machinery
+stays beneath the stubs without a generator frame per layer.
+
+A request the store rejects (a key or value over its size limits) is
+answered with :data:`~repro.kv.serialization.STATUS_TOO_LARGE`; the
+client raises :class:`~repro.errors.KVError` and the server thread goes
+on serving.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from repro.core.client import RfpClient
 from repro.core.config import RfpConfig
 from repro.core.rpc import RPC_OK, RpcClient, RpcServer
 from repro.core.server import RequestContext, RfpServer
-from repro.errors import KVError
+from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.kv.serialization import (
@@ -34,6 +41,7 @@ from repro.kv.serialization import (
     PUT_FUNCTION,
     STATUS_NOT_FOUND,
     STATUS_OK,
+    STATUS_TOO_LARGE,
     pack_get_request,
     pack_put_request,
     unpack_get_request,
@@ -152,7 +160,12 @@ class Jakiro:
         self, arguments: bytes, context: RequestContext
     ) -> Tuple[int, bytes, float]:
         key, value = unpack_put_request(arguments)
-        _evicted, cost = self.store.put(context.thread_id, key, value)
+        try:
+            _evicted, cost = self.store.put(context.thread_id, key, value)
+        except (KeyTooLargeError, ValueTooLargeError):
+            # The size checks run before the store charges any cost or
+            # draws from its RNG, so a rejection costs nothing.
+            return STATUS_TOO_LARGE, b"", 0.0
         return STATUS_OK, b"", cost
 
 
@@ -181,9 +194,9 @@ class JakiroClient:
             tracer = jakiro.tracer
         if register_issuer:
             machine.rnic.register_issuer()
-        self._transports: List[RpcClient] = []
+        self._transports: List[RfpClient] = []
         for thread_id in range(jakiro.threads):
-            rfp = jakiro.client_class(
+            transport = jakiro.client_class(
                 sim,
                 machine,
                 jakiro.server,
@@ -193,7 +206,7 @@ class JakiroClient:
                 register_issuer=False,
                 tracer=tracer,
             )
-            self._transports.append(RpcClient(rfp))
+            self._transports.append(transport)
 
     # ------------------------------------------------------------------
     # The KV API (Fig. 8a)
@@ -201,8 +214,10 @@ class JakiroClient:
 
     def get(self, key: bytes) -> Generator:
         """Process body: GET; returns the value or ``None`` if absent."""
-        transport = self._route(key)
-        status, value = yield from transport.call(GET_FUNCTION, pack_get_request(key))
+        response = yield from self._route(key).call(
+            RpcClient.encode(GET_FUNCTION, pack_get_request(key))
+        )
+        status, value = RpcClient.decode(response)
         if status == STATUS_NOT_FOUND:
             return None
         if status != STATUS_OK:
@@ -211,16 +226,17 @@ class JakiroClient:
 
     def put(self, key: bytes, value: bytes) -> Generator:
         """Process body: PUT; returns None."""
-        transport = self._route(key)
-        status, _ = yield from transport.call(
-            PUT_FUNCTION, pack_put_request(key, value)
+        response = yield from self._route(key).call(
+            RpcClient.encode(PUT_FUNCTION, pack_put_request(key, value))
         )
+        status, _ = RpcClient.decode(response)
         if status not in (STATUS_OK, RPC_OK):
             raise KVError(f"PUT failed with status {status}")
         return None
 
-    def _route(self, key: bytes) -> RpcClient:
-        return self._transports[partition_of(key, self.jakiro.threads)]
+    def _route(self, key: bytes) -> RfpClient:
+        transports = self._transports
+        return transports[partition_of(key, len(transports))]
 
     # ------------------------------------------------------------------
     # Aggregated statistics across the per-partition transports
@@ -228,7 +244,7 @@ class JakiroClient:
 
     @property
     def transports(self) -> List[RfpClient]:
-        return [rpc.transport for rpc in self._transports]
+        return list(self._transports)
 
     def total_calls(self) -> int:
         return sum(t.stats.calls.value for t in self.transports)

@@ -21,6 +21,7 @@ __all__ = [
     "PUT_FUNCTION",
     "STATUS_OK",
     "STATUS_NOT_FOUND",
+    "STATUS_TOO_LARGE",
     "pack_get_request",
     "unpack_get_request",
     "pack_put_request",
@@ -33,6 +34,8 @@ PUT_FUNCTION = 2
 # Application-level statuses carried in the RPC status byte.
 STATUS_OK = 0
 STATUS_NOT_FOUND = 16
+#: The store rejected a key or value over its size limits.
+STATUS_TOO_LARGE = 17
 
 _KEY_LEN = struct.Struct("<H")
 

@@ -176,16 +176,16 @@ class JakiroStore:
         """Look up ``key`` in its EREW partition; LRU-refresh on hit."""
         index = self._index(partition, key)
         bucket = self._buckets[partition][index]
-        self.counters.gets.increment()
+        self.counters.gets.value += 1
         self._clock += 1
         if bucket is not None:
             for slot in bucket:
                 if slot.key == key:
                     slot.last_used = self._clock
-                    self.counters.hits.increment()
+                    self.counters.hits.value += 1
                     cost = self.cost_model.cost(len(slot.value), self._rng)
                     return slot.value, cost
-        self.counters.misses.increment()
+        self.counters.misses.value += 1
         return None, self.cost_model.cost(0, self._rng)
 
     def put(self, partition: int, key: bytes, value: bytes) -> Tuple[bool, float]:
@@ -197,7 +197,7 @@ class JakiroStore:
                 f"value of {len(value)} B > {self.max_value_bytes} B"
             )
         index = self._index(partition, key)
-        self.counters.puts.increment()
+        self.counters.puts.value += 1
         self._clock += 1
         cost = self.cost_model.cost(len(value), self._rng)
         evicted = self._insert(self._buckets[partition], index, key, value, self._clock)
@@ -325,12 +325,12 @@ class JakiroStore:
             if slot.key == key:
                 slot.value = value
                 slot.last_used = clock
-                self.counters.updates.increment()
+                self.counters.updates.value += 1
                 return False
         evicted = len(bucket) >= SLOTS_PER_BUCKET
         if evicted:
             victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
             bucket.pop(victim)
-            self.counters.evictions.increment()
+            self.counters.evictions.value += 1
         bucket.append(_Slot(key, value, clock))
         return evicted

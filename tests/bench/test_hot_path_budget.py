@@ -1,21 +1,28 @@
-"""Hot-path budget: engine dispatches and Python calls per Jakiro GET.
+"""Hot-path budget: engine dispatches and Python calls per operation.
 
 Tier-1 never asserts a wall-clock number, but two counts stand in for
 the simulator's per-operation cost and are deterministic for a seeded
 run: the events the engine dispatches per operation, and the Python
-function calls ``cProfile`` sees per operation.  A small closed-loop
-Jakiro GET workload (the ``kv-read`` regime of ``perf/``) pins the
-first exactly and holds the second to a budget, so a change that adds
-work to the verb, fetch, server or engine hot path fails here without
-timing anything.
+function calls ``cProfile`` sees per operation.  Two small closed-loop
+workloads pin the first exactly and hold the second to a budget, so a
+change that adds work to the verb, fetch, reply, server or engine hot
+path fails here without timing anything:
 
-When a change cuts the hot path further, lower ``CALLS_PER_OP``; when a
-change adds calls on purpose, raise it in the same change and say why.
+- Jakiro GETs (the ``kv-read`` regime of ``perf/``): every call
+  remote-fetches;
+- a bare RFP echo with ~10 µs handlers (the ``rpc-slow-handler``
+  regime): every client switches to server-reply, so the pushed-reply
+  path carries the calls.
+
+When a change cuts the hot path further, lower ``CALLS_PER_OP`` or
+``CALLS_PER_ECHO``; when a change adds calls on purpose, raise the
+budget in the same change and say why.
 """
 
 import cProfile
 import pstats
 
+from repro.core import Mode, RfpClient, RfpServer
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro
 from repro.sim import Simulator
@@ -26,18 +33,37 @@ CLIENTS = 14
 WARMUP_US = 300.0
 WINDOW_US = 800.0
 
-#: Operations completed inside the window and events dispatched in it.
+#: GETs completed inside the window and events dispatched in it.
 EXPECTED_OPS = 3_954
 EXPECTED_DISPATCHED = 83_873
-#: Python calls per operation measured when the budget was set.
-CALLS_PER_OP = 235.5
-#: Headroom before the budget trips.
+#: Python calls per GET measured when the budget was set.
+CALLS_PER_OP = 217.3
+
+#: Echo calls completed inside the window and events dispatched in it.
+EXPECTED_ECHOES = 584
+EXPECTED_ECHO_DISPATCHED = 12_289
+#: Python calls per echo call measured when the budget was set.
+CALLS_PER_ECHO = 186.6
+
+#: Headroom before a budget trips.
 BUDGET = 1.05
 
 
+def measure(sim, done):
+    """Run warm-up, then the profiled window; return (operations,
+    dispatched, profiled calls) for the window."""
+    sim.run(until=WARMUP_US)
+    ops_before, dispatched_before = done[0], sim.dispatched
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run(until=WARMUP_US + WINDOW_US)
+    profile.disable()
+    calls = sum(row[1] for row in pstats.Stats(profile).stats.values())
+    return done[0] - ops_before, sim.dispatched - dispatched_before, calls
+
+
 def run_gets():
-    """Run the workload; return (ops, dispatched, profiled calls) for the
-    measured window."""
+    """Closed-loop Jakiro GETs of 32 B values."""
     sim = Simulator()
     hw = build_cluster(sim, CLUSTER_EUROSYS17)
     jakiro = Jakiro(
@@ -58,21 +84,57 @@ def run_gets():
     for index in range(CLIENTS):
         client = jakiro.connect(machines[index % len(machines)], name=f"c{index}")
         sim.process(loop(client, index * 131))
-    sim.run(until=WARMUP_US)
-    ops_before, dispatched_before = done[0], sim.dispatched
-    profile = cProfile.Profile()
-    profile.enable()
-    sim.run(until=WARMUP_US + WINDOW_US)
-    profile.disable()
-    calls = sum(row[1] for row in pstats.Stats(profile).stats.values())
-    return done[0] - ops_before, sim.dispatched - dispatched_before, calls
+    return measure(sim, done)
+
+
+def run_echoes():
+    """Closed-loop 32 B echo calls with 9.5-10.5 µs handlers; returns the
+    measurement and the clients."""
+    sim = Simulator()
+    hw = build_cluster(sim, CLUSTER_EUROSYS17)
+    server = RfpServer(
+        sim,
+        hw,
+        hw.server,
+        lambda payload, context: (payload, 9.5 + payload[0] / 255.0),
+        threads=8,
+        name="budget-echo",
+    )
+    machines = hw.client_machines
+    clients = [
+        RfpClient(sim, machines[index % len(machines)], server, name=f"e{index}")
+        for index in range(CLIENTS)
+    ]
+    done = [0]
+
+    def loop(client, position):
+        while True:
+            payload = bytes([position % 256]) * 32
+            assert (yield from client.call(payload)) == payload
+            done[0] += 1
+            position += 7
+
+    for index, client in enumerate(clients):
+        sim.process(loop(client, index * 131))
+    return measure(sim, done), clients
+
+
+def check_budget(calls, ops, budget, what):
+    calls_per_op = calls / ops
+    assert calls_per_op <= budget * BUDGET, (
+        f"{calls_per_op:.1f} Python calls per {what}, budget "
+        f"{budget * BUDGET:.1f} ({budget} + {BUDGET - 1:.0%})"
+    )
 
 
 def test_dispatches_per_op_pinned_and_calls_within_budget():
     ops, dispatched, calls = run_gets()
     assert (ops, dispatched) == (EXPECTED_OPS, EXPECTED_DISPATCHED)
-    calls_per_op = calls / ops
-    assert calls_per_op <= CALLS_PER_OP * BUDGET, (
-        f"{calls_per_op:.1f} Python calls per GET, budget "
-        f"{CALLS_PER_OP * BUDGET:.1f} ({CALLS_PER_OP} + {BUDGET - 1:.0%})"
-    )
+    check_budget(calls, ops, CALLS_PER_OP, "GET")
+
+
+def test_echo_dispatches_pinned_and_calls_within_budget():
+    (ops, dispatched, calls), clients = run_echoes()
+    assert all(client.mode is Mode.SERVER_REPLY for client in clients)
+    assert (ops, dispatched) == (EXPECTED_ECHOES, EXPECTED_ECHO_DISPATCHED)
+    check_budget(calls, ops, CALLS_PER_ECHO, "echo call")

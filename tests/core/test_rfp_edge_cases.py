@@ -71,6 +71,25 @@ class TestBufferBoundaries:
         # Exactly one read per call: the boundary is inclusive.
         assert client.stats.remote_reads.value == 5
 
+    def test_client_request_buffer_larger_than_servers_rejected(self):
+        """A client whose request buffer outgrows the server's would pass
+        its own size check and then fault in the verbs layer."""
+        sim = Simulator()
+        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+        server = RfpServer(
+            sim,
+            cluster,
+            cluster.server,
+            lambda p, c: (p, 0.0),
+            threads=1,
+            config=RfpConfig(request_buffer_bytes=64),
+        )
+        client_config = RfpConfig(
+            request_buffer_bytes=4096, response_buffer_bytes=64, fetch_size=64
+        )
+        with pytest.raises(ProtocolError, match="larger buffers"):
+            RfpClient(sim, cluster.client_machines[0], server, client_config)
+
 
 class TestParityToggle:
     def test_many_alternating_calls_never_cross_responses(self):

@@ -141,6 +141,27 @@ class TestRnicPipelines:
         sim.run()
         assert operations / sim.now == pytest.approx(2.11, rel=0.02)
 
+    def test_rejected_outbound_op_is_not_counted(self):
+        rnic = RNIC(Simulator(), CONNECTX3, "m0")
+        with pytest.raises(HardwareModelError):
+            rnic.occupy_outbound(32, kind="bogus")
+        assert (rnic.outbound_ops, rnic.outbound_bytes) == (0, 0)
+        assert rnic.out_pipeline.operations == 0
+
+    def test_rejected_inbound_op_is_not_counted(self):
+        rnic = RNIC(Simulator(), CONNECTX3, "m0")
+        with pytest.raises(HardwareModelError):
+            rnic.occupy_inbound(-5)
+        assert (rnic.inbound_ops, rnic.inbound_bytes) == (0, 0)
+        assert rnic.in_pipeline.operations == 0
+
+    def test_accepted_ops_are_counted(self):
+        rnic = RNIC(Simulator(), CONNECTX3, "m0")
+        rnic.occupy_outbound(32, kind="read")
+        rnic.occupy_inbound(64)
+        assert (rnic.outbound_ops, rnic.outbound_bytes) == (1, 32)
+        assert (rnic.inbound_ops, rnic.inbound_bytes) == (1, 64)
+
     def test_pipelines_are_independent(self):
         """In-bound and out-bound ops do not queue behind each other."""
         sim = Simulator()

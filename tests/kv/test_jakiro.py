@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Mode
+from repro.errors import KVError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro, partition_of
 from repro.sim import Simulator, ThroughputMeter
@@ -108,6 +109,33 @@ class TestJakiroSemantics:
         proc = sim.process(body(sim))
         sim.run()
         assert proc.value == big
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(b"k", b"v" * 100), (b"k" * 300, b"v")],
+        ids=["value", "key"],
+    )
+    def test_oversize_put_is_rejected_and_the_server_keeps_serving(
+        self, key, value
+    ):
+        sim, cluster, jakiro = make_jakiro(threads=1, max_value_bytes=64)
+        client = jakiro.connect(cluster.client_machines[0])
+        rng_state = jakiro.store._rng.bit_generator.state
+        outcome = {}
+
+        def body(sim):
+            with pytest.raises(KVError, match="status 17"):
+                yield from client.put(key, value)
+            outcome["puts"] = jakiro.store.counters.puts.value
+            outcome["rng_untouched"] = (
+                jakiro.store._rng.bit_generator.state == rng_state
+            )
+            yield from client.put(b"fits", b"v" * 64)
+            outcome["value"] = yield from client.get(b"fits")
+
+        sim.process(body(sim))
+        sim.run()
+        assert outcome == {"puts": 0, "rng_untouched": True, "value": b"v" * 64}
 
     def test_fast_server_stays_in_remote_fetch(self):
         sim, cluster, jakiro = make_jakiro()

@@ -10,7 +10,11 @@ import pytest
 
 from repro.baselines.serverreply_kv import build_serverreply_kv
 from repro.core import Mode, RfpClient, RfpServer
-from repro.core.headers import RESPONSE_HEADER_BYTES, ResponseHeader
+from repro.core.headers import (
+    REQUEST_HEADER_BYTES,
+    RESPONSE_HEADER_BYTES,
+    ResponseHeader,
+)
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv.jakiro import Jakiro
 from repro.lint.invariants import InvariantViolation, RfpInvariantChecker
@@ -20,17 +24,26 @@ from repro.sim import Simulator, Tracer
 class FetchBeforeFlagClient(RfpClient):
     """Planted bug: commit the first fetch without the parity check."""
 
-    def _fetch_response(self, parity):
-        sim = self.sim
+    def call(self, payload):
         config = self.config
         channel = self.channel
-        spin_start = self._call_started_at
-        yield sim.timeout(config.client_post_cpu_us)
+        parity = self._stage_request(payload)
+        yield config.client_post_cpu_us
+        yield self.endpoint.post_write(
+            self._request_staging,
+            0,
+            channel.request_region,
+            0,
+            REQUEST_HEADER_BYTES + len(payload),
+            on_delivery=self._on_request_delivery,
+        )
+        self._request_sent(parity, len(payload))
+        yield config.client_post_cpu_us
         self._trace("fetch_read", seq=self.seq, attempt=1, bytes=config.fetch_size)
         yield self.endpoint.post_read(
             self._fetch_landing, 0, channel.response_region, 0, config.fetch_size
         )
-        yield sim.timeout(config.client_parse_cpu_us)
+        yield config.client_parse_cpu_us
         self.stats.remote_reads.increment()
         header = ResponseHeader.unpack(
             self._fetch_landing.read_local(0, RESPONSE_HEADER_BYTES)
@@ -39,7 +52,7 @@ class FetchBeforeFlagClient(RfpClient):
         self._trace("fetch_success", seq=self.seq, attempts=1)
         self.stats.fetch_attempts.record(1)
         self.policy.note_fast_call()
-        self.stats.busy.add_busy(sim.now - spin_start)
+        self._call_done(parity)
         return self._fetch_landing.read_local(RESPONSE_HEADER_BYTES, header.size)
 
 
