@@ -61,7 +61,7 @@ from repro.hw.machine import Machine
 from repro.kv.jakiro import Jakiro, JakiroClient
 from repro.kv.store import StoreCostModel
 from repro.sim.atomic import atomic_section
-from repro.sim.core import AllOf, Event, Process, Simulator
+from repro.sim.core import AllOf, Process, Simulator
 from repro.sim.resources import Resource
 from repro.sim.trace import Tracer
 
@@ -774,7 +774,9 @@ class ClusterClient:
         sim = self.sim
         service = self.service
         lock = self._shard_locks[shard_name]
-        yield lock.request()
+        grant = lock.acquire()
+        if grant is not None:
+            yield grant
         try:
             if shard_name in self._broken or not service.membership.is_routable(
                 shard_name
@@ -794,36 +796,12 @@ class ClusterClient:
             body = client.get(key) if op == "get" else client.put(key, value)
             began = sim.now
             call = sim.process(body, name=self._op_names[op])
-            # Specialised two-way race (call vs deadline), replacing the
-            # generic ``AnyOf(sim, [call, sim.timeout(...)])``: the
-            # deadline is a bare heap entry rather than a Timeout/Event,
-            # so the common call-wins case skips a dead waiter dispatch
-            # when the deadline expires.  Both engines take the exact
-            # same path, which keeps fast/reference dispatch parity.
-            # Tie order matches AnyOf: the deadline entry carries the
-            # seq of its arming (earlier than any completion cascade at
-            # deadline time), so an exact tie resolves to the timeout —
-            # just as the Timeout's pre-armed fire did.
-            race = Event(sim)
-
-            def _call_done(event: "Event") -> None:
-                if race._done:
-                    if event._exc is not None:
-                        event._defused = True
-                    return
-                if event._exc is not None:
-                    race.fail(event._exc)
-                else:
-                    race.trigger((0, event._value))
-
-            def _deadline_fired() -> None:
-                if not race._done:
-                    race.trigger((1, None))
-
-            call.done.wait(_call_done)
-            sim.schedule(service.config.op_timeout_us, _deadline_fired)
-            which, outcome = yield race
-            if which == 0:
+            # The deadline completes the call's ``done`` itself, so the
+            # wait below is the whole race.  It is armed before the call
+            # first runs: an exact tie resolves to the timeout.
+            call.deadline(service.config.op_timeout_us, _TIMED_OUT)
+            outcome = yield call.done
+            if outcome is not _TIMED_OUT:
                 service.metrics.record_op(
                     shard_name,
                     op,

@@ -150,14 +150,26 @@ def select_parameters(
         raise ProtocolError("no result sizes provided (run the sampler first)")
     if retry_upper_bound < 1:
         raise ProtocolError("retry upper bound must be >= 1")
+    grid = fetch_size_grid(size_lower_bound, size_upper_bound, size_step)
+    # Whether one fetch covers a result does not depend on R, so each F's
+    # flags are computed once, and once per distinct size.  The sums below
+    # still add term by term in sample order: float addition is not
+    # associative, and ties between candidates depend on the exact bits
+    # of their scores.
+    distinct = set(result_sizes)
+    covered: Dict[int, List[bool]] = {}
+    for fetch in grid:
+        one_read = {size: reads_required(size, fetch) == 1 for size in distinct}
+        covered[fetch] = [one_read[size] for size in result_sizes]
     scores: Dict[Tuple[int, int], float] = {}
     best: Tuple[float, int, int] = (-1.0, 0, 0)
     for retry in range(1, retry_upper_bound + 1):
-        for fetch in fetch_size_grid(size_lower_bound, size_upper_bound, size_step):
+        for fetch in grid:
             rate = iops_at(retry, fetch)
+            half = rate / 2.0
             total = 0.0
-            for size in result_sizes:
-                total += rate if reads_required(size, fetch) == 1 else rate / 2.0
+            for one_read in covered[fetch]:
+                total += rate if one_read else half
             mean = total / len(result_sizes)
             scores[(retry, fetch)] = mean
             candidate = (mean, retry, -fetch)

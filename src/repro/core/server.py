@@ -335,11 +335,11 @@ class RfpServer:
     def _send_reply(self, channel: ClientChannel):
         """Push the buffered response with an out-bound RDMA Write.
 
-        The write is posted fire-and-forget: the payload is sampled by the
-        NIC at post time, so the thread moves on to the next request and
-        collects the completion lazily (as real sync servers do) — only
-        the post cost is charged to the thread, while the out-bound
-        pipeline rate-limits the actual sends.
+        The write is posted unsignaled: the payload is sampled by the NIC
+        at post time and nothing waits for a completion, so the thread
+        moves on to the next request — only the post cost is charged to
+        the thread, while the out-bound pipeline rate-limits the actual
+        sends.
         """
         total = RESPONSE_HEADER_BYTES + channel.response_size
         yield (
@@ -350,7 +350,7 @@ class RfpServer:
 
     def _push_reply(self, channel: ClientChannel, total: int) -> None:
         """Post the reply write of ``total`` bytes (post CPU already
-        charged) and record it."""
+        charged), unsignaled, and record it."""
         channel.server_endpoint.post_write(
             channel.response_region,
             0,
@@ -358,6 +358,7 @@ class RfpServer:
             0,
             total,
             on_delivery=lambda: channel.reply_store.put(total),
+            signaled=False,
         )
         channel.replied_seq = channel.response_seq
         self.stats.replies_sent.value += 1

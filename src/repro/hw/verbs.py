@@ -198,7 +198,8 @@ class Endpoint:
     def _issued_unreliably(self, op: tuple) -> None:
         # Unreliable transports complete at issue time and may drop the
         # message on the wire.
-        op[2].trigger(op[1])
+        if op[2] is not None:
+            op[2].trigger(op[1])
         if self.qp._drops_unreliable_message():
             return  # vanished on the wire; the sender never knows
         self.sim.schedule(self._forward_us, self._at_remote, op)
@@ -289,7 +290,8 @@ class Endpoint:
         remote_offset: int,
         size: int,
         on_delivery: Optional[Callable[[], None]] = None,
-    ) -> Event:
+        signaled: bool = True,
+    ) -> Optional[Event]:
         """One-sided RDMA Write: local bytes -> remote region.
 
         ``on_delivery`` runs at the instant the payload lands in remote
@@ -297,6 +299,11 @@ class Endpoint:
         write without simulating each poll iteration).  On RC the
         completion fires after the hardware ACK returns; on UC it fires
         once the issuing NIC has sent the payload (no reliability).
+
+        ``signaled=False`` posts the write without a completion, like an
+        ibverbs work request without ``IBV_SEND_SIGNALED``: no event, no
+        completion dispatch, and ``None`` is returned.  Delivery, the
+        ``on_delivery`` hook and the NIC's pipelines are unchanged.
         """
         qp = self.qp
         if not qp._open:
@@ -316,7 +323,7 @@ class Endpoint:
             self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
         sim = self.sim
-        completion = Event(sim)
+        completion = Event(sim) if signaled else None
         op = (
             self._write_served,
             size,
@@ -338,7 +345,7 @@ class Endpoint:
         remote_mr.write_local(remote_offset, payload)
         if on_delivery is not None:
             on_delivery()
-        if self.qp.qp_type is QPType.RC:
+        if completion is not None and self.qp.qp_type is QPType.RC:
             self.sim.schedule(self._backward_us, completion.trigger, size)
 
     # ------------------------------------------------------------------

@@ -160,12 +160,18 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, which makes throughput
-        windows easy to reason about.
+        windows easy to reason about.  A bound before the current time
+        (or negative, or NaN) raises :class:`SimulationError`; a bound
+        equal to it dispatches what is due now.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         if until is not None and not until >= 0:
             raise SimulationError(f"run until a negative or NaN time: {until}")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run until {until}, which is before the current time {self.now}"
+            )
         self._running = True
         # Locals hoisted out of the hot loop: the ``until`` comparison
         # reduces to a float compare against ``limit`` (``inf`` when no
@@ -178,47 +184,46 @@ class Simulator:
         dispatched = 0
         now = self.now
         try:
-            if limit >= now:
-                while True:
-                    if ready:
-                        # Merge rule: a heap entry due *now* with a
-                        # smaller seq than the oldest ready entry was
-                        # scheduled earlier and must dispatch first;
-                        # otherwise the ready FIFO is next.  Ready
-                        # entries are always due at the current time
-                        # (the clock only advances once both are
-                        # drained), so no time comparison is needed.
-                        if heap:
-                            head = heap[0]
-                            # Exact equality is the merge identity: a
-                            # heap entry is "due now" only at the very
-                            # timestamp it was keyed with.
-                            if head[0] == now and head[1] < ready[0][0]:  # lint: disable=no-float-eq -- (time, seq) merge identity
-                                heappop(heap)
-                                dispatched += 1
-                                head[2](*head[3])
-                                continue
-                        # No heap entry is due now, and none can appear
-                        # while draining: every fast-mode heap push is
-                        # strictly future (zero-delay work rides the
-                        # deque), so the whole ready FIFO — including
-                        # entries appended by the callbacks themselves —
-                        # drains without re-peeking the heap.
-                        while ready:
-                            entry = popleft()
+            while True:
+                if ready:
+                    # Merge rule: a heap entry due *now* with a
+                    # smaller seq than the oldest ready entry was
+                    # scheduled earlier and must dispatch first;
+                    # otherwise the ready FIFO is next.  Ready
+                    # entries are always due at the current time
+                    # (the clock only advances once both are
+                    # drained), so no time comparison is needed.
+                    if heap:
+                        head = heap[0]
+                        # Exact equality is the merge identity: a
+                        # heap entry is "due now" only at the very
+                        # timestamp it was keyed with.
+                        if head[0] == now and head[1] < ready[0][0]:  # lint: disable=no-float-eq -- (time, seq) merge identity
+                            heappop(heap)
                             dispatched += 1
-                            entry[1](*entry[2])
-                        continue
-                    if not heap:
-                        break
-                    head = heap[0]
-                    at = head[0]
-                    if at > limit:
-                        break
-                    heappop(heap)
-                    self.now = now = at
-                    dispatched += 1
-                    head[2](*head[3])
+                            head[2](*head[3])
+                            continue
+                    # No heap entry is due now, and none can appear
+                    # while draining: every fast-mode heap push is
+                    # strictly future (zero-delay work rides the
+                    # deque), so the whole ready FIFO — including
+                    # entries appended by the callbacks themselves —
+                    # drains without re-peeking the heap.
+                    while ready:
+                        entry = popleft()
+                        dispatched += 1
+                        entry[1](*entry[2])
+                    continue
+                if not heap:
+                    break
+                head = heap[0]
+                at = head[0]
+                if at > limit:
+                    break
+                heappop(heap)
+                self.now = now = at
+                dispatched += 1
+                head[2](*head[3])
             if until is not None and until > self.now:
                 self.now = until
         finally:
@@ -451,10 +456,15 @@ class Process:
     - another :class:`Process` — resumes with that process's return value.
 
     The process itself exposes :attr:`done` (an event triggered with the
-    generator's return value), so processes compose.
+    generator's return value), so processes compose.  A :meth:`deadline`
+    may complete :attr:`done` first; the generator then runs on detached.
+
+    A finished process drops the bound methods it holds of itself, so
+    reference counting frees it, its generator and :attr:`done` once
+    nothing else refers to them; the cyclic collector is never needed.
     """
 
-    __slots__ = ("sim", "name", "_gen", "done", "_on_done", "_timer_cb")
+    __slots__ = ("sim", "name", "_gen", "done", "_on_done", "_timer_cb", "__weakref__")
 
     def __init__(
         self,
@@ -487,6 +497,18 @@ class Process:
     def wait(self, callback: Callable[[Event], None]) -> None:
         """Subscribe ``callback`` to this process's completion event."""
         self.done.wait(callback)
+
+    def deadline(self, delay: float, value: Any) -> None:
+        """Complete :attr:`done` with ``value`` after ``delay`` unless the
+        generator finished first.
+
+        The entry is armed now, before anything the generator schedules,
+        so a completion due at the deadline instant loses the tie.  Past
+        its deadline the generator runs on detached; what it later returns
+        or raises is dropped.  The entry holds :attr:`done`, not the
+        process, so a finished process is freed at once.
+        """
+        self.sim.schedule(delay, _expire, self.done, value)
 
     def _resume(self, event: Event) -> None:
         if event._exc is not None:
@@ -535,10 +557,19 @@ class Process:
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
-            self.done.trigger(stop.value)
+            # Finished: drop the self-references (a cycle otherwise), and
+            # drop the result of a process its deadline already completed.
+            self._on_done = self._timer_cb = None
+            if not self.done._done:
+                self.done.trigger(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - escalated via event
-            self.done.fail(error)
+            self._on_done = self._timer_cb = None
+            if not self.done._done:
+                # Store the failure without this stepping frame: it holds
+                # the process, which holds ``done``, which would hold the
+                # failure.  The generator frames stay for the report.
+                self.done.fail(error.with_traceback(error.__traceback__.tb_next))
             return
         # ``yield <float>`` is a plain delay: the timeout fast path with
         # no waitable object at all.  Hot model code (client spin loops,
@@ -588,6 +619,12 @@ class Process:
                     "expected Event or Process"
                 ),
             )
+
+
+def _expire(done: Event, value: Any) -> None:
+    """Deadline entry of :meth:`Process.deadline`."""
+    if not done._done:
+        done.trigger(value)
 
 
 def AnyOf(sim: Simulator, waitables: Iterable[Union["Event", "Process"]]) -> Event:

@@ -15,8 +15,9 @@ Three abstractions cover everything the hardware model needs:
 
 ``Resource.request`` and ``Store.get`` grants that can complete
 immediately ride the engine's zero-delay ready deque (any wait on an
-already-triggered event does); station completions use the slotted
-timeout fast path.  Neither costs a heap round trip on the common path.
+already-triggered event does); ``Resource.acquire`` skips even that
+when a slot is free.  Station completions use the slotted timeout fast
+path.  None costs a heap round trip on the common path.
 """
 
 from __future__ import annotations
@@ -57,12 +58,24 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that triggers when a slot is granted."""
-        event = Event(self.sim)
+        event = self.acquire()
+        if event is None:
+            event = Event(self.sim)
+            event.trigger()
+        return event
+
+    def acquire(self) -> Optional[Event]:
+        """Take a free slot at once and return ``None``, or queue for one
+        and return the event that triggers when it is granted.
+
+        Unlike ``yield request()``, an uncontended grant costs no event
+        and no engine round trip.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.trigger()
-        else:
-            self._waiters.append(event)
+            return None
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:

@@ -12,19 +12,24 @@ path fails here without timing anything:
   remote-fetches;
 - a bare RFP echo with ~10 µs handlers (the ``rpc-slow-handler``
   regime): every client switches to server-reply, so the pushed-reply
-  path carries the calls.
+  path carries the calls;
+- routed GETs and PUTs on a three-shard RF=2 cluster (the healthy half
+  of ``cluster-failover``): every operation goes through the router's
+  per-shard lock and its deadline-guarded attempts.
 
-When a change cuts the hot path further, lower ``CALLS_PER_OP`` or
-``CALLS_PER_ECHO``; when a change adds calls on purpose, raise the
-budget in the same change and say why.
+When a change cuts the hot path further, lower ``CALLS_PER_OP``,
+``CALLS_PER_ECHO`` or ``CALLS_PER_ROUTED_OP``; when a change adds calls
+on purpose, raise the budget in the same change and say why.
 """
 
 import cProfile
 import pstats
 
+from repro.cluster import ClusterConfig, RfpCluster
 from repro.core import Mode, RfpClient, RfpServer
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro
+from repro.kv.store import StoreCostModel
 from repro.sim import Simulator
 
 KEYS = 2048
@@ -41,9 +46,16 @@ CALLS_PER_OP = 217.3
 
 #: Echo calls completed inside the window and events dispatched in it.
 EXPECTED_ECHOES = 584
-EXPECTED_ECHO_DISPATCHED = 12_289
+EXPECTED_ECHO_DISPATCHED = 11_705
 #: Python calls per echo call measured when the budget was set.
-CALLS_PER_ECHO = 186.6
+CALLS_PER_ECHO = 181.6
+
+#: Routed operations completed inside the window and events dispatched
+#: in it.
+EXPECTED_ROUTED_OPS = 3_031
+EXPECTED_ROUTED_DISPATCHED = 91_158
+#: Python calls per routed operation measured when the budget was set.
+CALLS_PER_ROUTED_OP = 330.0
 
 #: Headroom before a budget trips.
 BUDGET = 1.05
@@ -119,6 +131,41 @@ def run_echoes():
     return measure(sim, done), clients
 
 
+def run_routed():
+    """Closed-loop routed operations of 32 B values on three shards with
+    RF=2: every fourth operation of a client is a PUT, acknowledged by
+    both replicas, and the rest are GETs."""
+    sim = Simulator()
+    hw = build_cluster(sim, CLUSTER_EUROSYS17)
+    service = RfpCluster(
+        sim,
+        hw,
+        shards=3,
+        cluster_config=ClusterConfig(replication_factor=2),
+        cost_model=StoreCostModel(jitter_probability=0.0),
+        name="budget-cluster",
+    )
+    keys = [b"routed-key-%06d" % index for index in range(KEYS)]
+    service.preload([(key, VALUE) for key in keys])
+    machines = hw.machines[3:]
+    done = [0]
+
+    def loop(client, position):
+        while True:
+            key = keys[position % KEYS]
+            if position % 4 == 0:
+                yield from client.put(key, VALUE)
+            else:
+                assert (yield from client.get(key)) == VALUE
+            done[0] += 1
+            position += 7
+
+    for index in range(CLIENTS):
+        client = service.connect(machines[index % len(machines)], name=f"r{index}")
+        sim.process(loop(client, index * 131))
+    return measure(sim, done)
+
+
 def check_budget(calls, ops, budget, what):
     calls_per_op = calls / ops
     assert calls_per_op <= budget * BUDGET, (
@@ -138,3 +185,9 @@ def test_echo_dispatches_pinned_and_calls_within_budget():
     assert all(client.mode is Mode.SERVER_REPLY for client in clients)
     assert (ops, dispatched) == (EXPECTED_ECHOES, EXPECTED_ECHO_DISPATCHED)
     check_budget(calls, ops, CALLS_PER_ECHO, "echo call")
+
+
+def test_routed_dispatches_pinned_and_calls_within_budget():
+    ops, dispatched, calls = run_routed()
+    assert (ops, dispatched) == (EXPECTED_ROUTED_OPS, EXPECTED_ROUTED_DISPATCHED)
+    check_budget(calls, ops, CALLS_PER_ROUTED_OP, "routed operation")

@@ -39,7 +39,7 @@ EXPECTED = {
     "event-churn": (400_001, 0.0),
     "timeout-storm": (733_250, 0.0),
     "fig03-replay": (202_714, 11.26),
-    "cluster-replay": (551_793, 6.693867),
+    "cluster-replay": (509_492, 6.693867),
 }
 
 HOST_DEPENDENT_FIELDS = (

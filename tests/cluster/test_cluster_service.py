@@ -6,6 +6,10 @@ acknowledged writes, NIC silence on healthy shards, and per-shard (R, F)
 adaptation diverging with per-shard value sizes.
 """
 
+import gc
+import inspect
+import weakref
+
 import pytest
 
 from repro.cluster import ClusterConfig, RfpCluster, ShardStatus
@@ -280,6 +284,133 @@ class TestFailover:
         _, service, _, _, _, _ = self.run_with_kill()
         with pytest.raises(ClusterError):
             service.kill("shard1")
+
+
+def capture_attempts(sim, keep):
+    """Wrap ``sim.process`` so each routed attempt's call process is
+    handed to ``keep`` (the router names them ``<client>.get``/``.put``)."""
+    make = sim.process
+
+    def process(generator, name=""):
+        proc = make(generator, name=name)
+        if name.endswith((".get", ".put")):
+            keep(proc)
+        return proc
+
+    sim.process = process
+
+
+class LateShard:
+    """Stands in for one shard's transport: answers every call ``delay_us``
+    after it starts, with ``outcome`` (raised if it is an exception)."""
+
+    def __init__(self, delay_us, outcome):
+        self.delay_us = delay_us
+        self.outcome = outcome
+        self.answered = []
+
+    def get(self, key):
+        yield self.delay_us
+        self.answered.append(key)
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+
+class TestAttemptDeadline:
+    """A routed attempt's deadline completes the router's wait itself."""
+
+    def route_log(self, tracer):
+        return [
+            (event.at_us, event.label, event.data["shard"])
+            for event in tracer.events(category="cluster")
+            if event.label in ("route", "route_timeout")
+        ]
+
+    def test_killed_primary_times_out_exactly_and_reroutes(self):
+        sim, cluster, tracer, service = make_service()
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3], name="c0")
+        key = KEYS[0]
+        primary, backup = service.replicas_for(key)
+        attempts = []
+        capture_attempts(sim, attempts.append)
+        results = []
+
+        def body():
+            yield 5.0
+            service.kill(primary)
+            results.append((yield from client.get(key)))
+
+        sim.process(body())
+        sim.run(until=500.0)
+        timeout = service.config.op_timeout_us
+        assert self.route_log(tracer) == [
+            (5.0, "route", primary),
+            (5.0 + timeout, "route_timeout", primary),
+            (5.0 + timeout, "route", backup),
+        ]
+        assert results == [b"v" * 32]
+        assert service.metrics.shards[primary].timeouts.value == 1
+        # The abandoned call still runs, stuck on the dead shard.
+        abandoned, rerouted = attempts
+        assert inspect.getgeneratorstate(abandoned._gen) == inspect.GEN_SUSPENDED
+        assert inspect.getgeneratorstate(rerouted._gen) == inspect.GEN_CLOSED
+
+    @pytest.mark.parametrize(
+        "late", [b"late", RuntimeError("late")], ids=["value", "exception"]
+    )
+    def test_late_outcome_of_abandoned_call_dropped(self, late):
+        sim, cluster, tracer, service = make_service()
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3], name="c0")
+        key = KEYS[0]
+        primary = service.replicas_for(key)[0]
+        stub = LateShard(service.config.op_timeout_us + 20.0, late)
+        client._clients[primary] = stub
+        results = []
+
+        def body():
+            results.append((yield from client.get(key)))
+            results.append(sim.now)
+
+        sim.process(body())
+        sim.run(until=500.0)  # a late failure would escalate here
+        assert stub.answered == [key]
+        assert results[0] == b"v" * 32
+        assert results[1] < stub.delay_us
+        assert [label for _, label, _ in self.route_log(tracer)] == [
+            "route",
+            "route_timeout",
+            "route",
+        ]
+
+    def test_attempt_processes_freed_as_they_finish(self):
+        sim, cluster, _, service = make_service()
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3])
+        refs = []
+        capture_attempts(sim, lambda proc: refs.append(weakref.ref(proc)))
+        alive = []
+
+        def body():
+            for index, key in enumerate(KEYS[:12]):
+                if index % 3 == 2:
+                    yield from client.put(key, b"w")
+                else:
+                    yield from client.get(key)
+                alive.append(sum(ref() is not None for ref in refs))
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.process(body())
+            sim.run(until=500.0)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) == 8 + 4 * 2  # a PUT writes both replicas
+        assert alive == [0] * 12
 
 
 class TestAdaptive:

@@ -183,6 +183,57 @@ class TestWrite:
         assert remote.read_local(0, 8) == bytes(8)  # local buffer was zeroed
 
 
+class TestUnsignaledWrite:
+    """``signaled=False`` drops the completion and nothing else."""
+
+    @staticmethod
+    def post_one(qp_type, signaled):
+        """Post one 64 B write on a fresh rig; return what it observed."""
+        sim = Simulator()
+        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+        ep, _ = cluster.connect(cluster.machines[1], cluster.server, qp_type=qp_type)
+        local = ep.machine.register_memory(64)
+        remote = cluster.server.register_memory(64)
+        local.write_local(0, b"reply-payload")
+        delivered = []
+        completion = ep.post_write(
+            local,
+            0,
+            remote,
+            0,
+            64,
+            on_delivery=lambda: delivered.append(sim.now),
+            signaled=signaled,
+        )
+        sim.run()
+        nics = (ep.machine.rnic, cluster.server.rnic)
+        return {
+            "completion": completion,
+            "delivered": delivered,
+            "payload": remote.read_local(0, 64),
+            "dispatched": sim.dispatched,
+            "ops": [(nic.outbound_ops, nic.inbound_ops) for nic in nics],
+            "busy": [
+                (nic.out_pipeline.busy_time, nic.in_pipeline.busy_time) for nic in nics
+            ],
+        }
+
+    @pytest.mark.parametrize("qp_type", [QPType.RC, QPType.UC], ids=["rc", "uc"])
+    def test_same_delivery_without_a_completion(self, qp_type):
+        signaled = self.post_one(qp_type, signaled=True)
+        unsignaled = self.post_one(qp_type, signaled=False)
+        assert signaled["completion"].triggered
+        assert unsignaled["completion"] is None
+        assert len(unsignaled["delivered"]) == 1
+        for field in ("delivered", "payload", "ops", "busy"):
+            assert unsignaled[field] == signaled[field], field
+        # RC schedules its ACK completion as an entry of its own; UC
+        # completes inside the issue stage, which stays (it decides the
+        # message's fate on the wire).
+        saved = 1 if qp_type is QPType.RC else 0
+        assert unsignaled["dispatched"] == signaled["dispatched"] - saved
+
+
 class TestSendRecv:
     @pytest.mark.parametrize("qp_type", [QPType.RC, QPType.UC, QPType.UD])
     def test_send_recv_roundtrip(self, qp_type):

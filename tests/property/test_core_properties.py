@@ -11,7 +11,32 @@ from repro.core import (
     reads_required,
     select_parameters,
 )
-from repro.core.params import fetch_size_grid
+from repro.core.params import ParameterChoice, fetch_size_grid
+
+
+def reference_select(sizes, iops_at, retry_upper, lower, upper, step):
+    """Eq. 2 enumeration as first written: ``reads_required`` once per
+    (R, F, size).  The oracle for :func:`select_parameters`."""
+    scores = {}
+    best = (-1.0, 0, 0)
+    for retry in range(1, retry_upper + 1):
+        for fetch in fetch_size_grid(lower, upper, step):
+            rate = iops_at(retry, fetch)
+            total = 0.0
+            for size in sizes:
+                total += rate if reads_required(size, fetch) == 1 else rate / 2.0
+            mean = total / len(sizes)
+            scores[(retry, fetch)] = mean
+            candidate = (mean, retry, -fetch)
+            if candidate > best:
+                best = candidate
+    _, retry, negative_fetch = best
+    return ParameterChoice(
+        retry_bound=retry,
+        fetch_size=-negative_fetch,
+        expected_mops=scores[(retry, -negative_fetch)],
+        scores=scores,
+    )
 
 
 class TestHeaderProperties:
@@ -82,6 +107,37 @@ class TestParameterSelectionProperties:
         assert choice.expected_mops > 0
         # The chosen pair really is a maximiser of the scored table.
         assert choice.expected_mops == max(choice.scores.values())
+
+    @given(
+        st.lists(st.integers(0, 1200), min_size=1, max_size=60),
+        st.lists(
+            st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(1, 6),
+        st.sampled_from([(64, 1024, 64), (256, 1024, 128), (16, 600, 37)]),
+    )
+    def test_scores_bit_identical_to_reference_loop(
+        self, sizes, rates, retry_upper, grid
+    ):
+        """Flags computed once per F give the reference loop's scores to
+        the last bit, and so its choice: few distinct rates make ties."""
+        lower, upper, step = grid
+
+        def iops_at(retry, fetch):
+            return rates[(retry + fetch // step) % len(rates)]
+
+        choice = select_parameters(sizes, iops_at, retry_upper, lower, upper, step)
+        expected = reference_select(sizes, iops_at, retry_upper, lower, upper, step)
+        assert (choice.retry_bound, choice.fetch_size) == (
+            expected.retry_bound,
+            expected.fetch_size,
+        )
+        assert choice.expected_mops.hex() == expected.expected_mops.hex()
+        assert {key: score.hex() for key, score in choice.scores.items()} == {
+            key: score.hex() for key, score in expected.scores.items()
+        }
 
     @given(st.integers(16, 2048), st.integers(1, 512))
     def test_grid_is_sorted_unique_and_covers_bounds(self, lower, step):

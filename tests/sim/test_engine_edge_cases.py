@@ -1,5 +1,9 @@
 """Edge-case tests for the event engine left uncovered elsewhere."""
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, ServiceStation, SimulationError, Simulator
@@ -244,3 +248,150 @@ class TestNaNTimesRejected:
         # The engine is not left marked as running, and still works.
         sim.run()
         assert seen == ["ran"]
+
+
+class TestRunUntilBound:
+    @ENGINES
+    def test_run_until_before_now_rejected(self, reference):
+        """A bound in the past used to return silently, with the clock
+        and the queue left as they were."""
+        sim = Simulator(reference=reference)
+
+        def body(sim):
+            yield 5.0
+            yield 5.0
+
+        sim.process(body(sim))
+        sim.run(until=8.0)
+        with pytest.raises(SimulationError, match="before the current time"):
+            sim.run(until=3.0)
+        assert sim.now == 8.0
+        assert sim.peek() == 10.0
+        sim.run()
+        assert sim.now == 10.0
+
+    @ENGINES
+    def test_run_until_now_dispatches_what_is_due(self, reference):
+        sim = Simulator(reference=reference)
+        seen = []
+        sim.run(until=4.0)
+        sim.schedule(0.0, seen.append, "due")
+        sim.run(until=4.0)
+        assert seen == ["due"]
+        assert sim.now == 4.0
+
+
+class TestProcessDeadline:
+    """``Process.deadline`` completes ``done`` unless the generator
+    finished first; a process past it runs on, detached."""
+
+    @staticmethod
+    def race(reference, work_us, outcome):
+        """Run a process that works ``work_us`` then returns or raises
+        ``outcome`` under a 5 us deadline; return what a waiter saw,
+        when, and what the process itself did."""
+        sim = Simulator(reference=reference)
+        log = []
+
+        def work(sim):
+            try:
+                yield work_us
+            finally:
+                log.append(("worker ended", sim.now))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        def waiter(sim):
+            proc = sim.process(work(sim))
+            proc.deadline(5.0, "timed out")
+            log.append(((yield proc.done), sim.now))
+
+        sim.process(waiter(sim))
+        sim.run()
+        return log
+
+    @ENGINES
+    def test_finished_before_the_deadline(self, reference):
+        log = self.race(reference, 3.0, "value")
+        assert log == [("worker ended", 3.0), ("value", 3.0)]
+
+    @ENGINES
+    def test_deadline_first_and_late_value_dropped(self, reference):
+        log = self.race(reference, 9.0, "late")
+        assert log == [("timed out", 5.0), ("worker ended", 9.0)]
+
+    @ENGINES
+    def test_exact_tie_resolves_to_the_deadline(self, reference):
+        log = self.race(reference, 5.0, "value")
+        assert log == [("timed out", 5.0), ("worker ended", 5.0)]
+
+    @ENGINES
+    def test_late_failure_dropped_without_escalation(self, reference):
+        log = self.race(reference, 9.0, ValueError("late"))
+        assert log == [("timed out", 5.0), ("worker ended", 9.0)]
+
+    @ENGINES
+    def test_failure_before_the_deadline_reaches_the_waiter(self, reference):
+        with pytest.raises(SimulationError) as info:
+            self.race(reference, 3.0, ValueError("early"))
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.fixture()
+def no_collector():
+    """Reference counting only: a cycle would outlive the test."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestProcessLifetime:
+    @ENGINES
+    def test_finished_process_freed_at_once(self, reference, no_collector):
+        sim = Simulator(reference=reference)
+
+        def body(sim):
+            yield 1.0
+            return "value"
+
+        generator = body(sim)
+        proc = sim.process(generator)
+        refs = (weakref.ref(proc), weakref.ref(generator))
+        done = proc.done
+        del proc, generator
+        sim.run(until=1.0)
+        assert [ref() for ref in refs] == [None, None]
+        assert done.value == "value"
+
+    @staticmethod
+    def doomed(sim):
+        yield 1.0
+        raise ValueError("boom")
+
+    @ENGINES
+    def test_failed_process_freed_and_keeps_its_frames(self, reference, no_collector):
+        sim = Simulator(reference=reference)
+        proc = sim.process(self.doomed(sim))
+        ref = weakref.ref(proc)
+        done = proc.done
+        del proc
+        done.wait(lambda event: None)  # observe the failure
+        sim.run()
+        assert ref() is None
+        # The engine's stepping frame is dropped; the generator's is kept.
+        frames = traceback.extract_tb(done._exc.__traceback__)
+        assert [frame.name for frame in frames] == ["doomed"]
+
+    @ENGINES
+    def test_unhandled_failure_report_names_the_generator(self, reference):
+        sim = Simulator(reference=reference)
+        sim.process(self.doomed(sim))
+        with pytest.raises(SimulationError, match="unhandled failure") as info:
+            sim.run()
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError)
+        frames = traceback.extract_tb(cause.__traceback__)
+        assert [frame.name for frame in frames] == ["doomed"]
