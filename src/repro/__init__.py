@@ -8,9 +8,10 @@ full surface lives in the subpackages:
 - :mod:`repro.core` — the RFP paradigm itself,
 - :mod:`repro.paradigms` — server-reply and server-bypass,
 - :mod:`repro.kv` — Jakiro and the hash structures,
-- :mod:`repro.baselines` — Pilaf, RDMA-Memcached, FaRM, HERD,
+- :mod:`repro.baselines` — Pilaf, RDMA-Memcached, ServerReply-KV, HERD
+  and DrTM,
 - :mod:`repro.apps` — the statistics service (porting demo),
-- :mod:`repro.workloads` — YCSB-style generators and traces,
+- :mod:`repro.workloads` — YCSB-style generators,
 - :mod:`repro.analysis` — closed-form performance models,
 - :mod:`repro.bench` — the figure/table reproduction harness.
 """

@@ -9,8 +9,6 @@
 - :mod:`~repro.baselines.rdma_memcached` — OSU's RDMA-Memcached model:
   shared cache + global LRU lock, CPU-heavy per-request software path,
   server threads performing their own network sends.
-- :mod:`~repro.baselines.farm` — a FaRM-style lookup path (§5): one
-  oversized RDMA Read fetches an entire Hopscotch neighborhood.
 - :mod:`~repro.baselines.herd` — a HERD-style UC/UD RPC (§5) with real
   loss handling: timeouts, retransmits, duplicate suppression.
 - :mod:`~repro.baselines.drtm` — a DrTM-style lock-based bypass store
@@ -18,7 +16,6 @@
 """
 
 from repro.baselines.drtm import DrtmClient, DrtmServer
-from repro.baselines.farm import FarmClient, FarmServer
 from repro.baselines.herd import HerdClient, HerdServer
 from repro.baselines.pilaf import PilafClient, PilafServer
 from repro.baselines.rdma_memcached import (
@@ -31,8 +28,6 @@ from repro.baselines.serverreply_kv import build_serverreply_kv
 __all__ = [
     "DrtmClient",
     "DrtmServer",
-    "FarmClient",
-    "FarmServer",
     "HerdClient",
     "HerdServer",
     "MemcachedCostModel",

@@ -2,7 +2,7 @@
 
 - :mod:`~repro.bench.harness` — closed-loop measurement machinery,
 - :mod:`~repro.bench.systems` — uniform adapters over the four KV
-  systems (Jakiro, ServerReply, RDMA-Memcached, Pilaf, FaRM),
+  systems (Jakiro, ServerReply, RDMA-Memcached, Pilaf),
 - :mod:`~repro.bench.calibration` — the §2.2 microbenchmarks (Figs. 3-5)
   and the hardware curves parameter selection consumes,
 - :mod:`~repro.bench.figures` — one runner per paper figure/table,

@@ -19,13 +19,17 @@ experiment without writing code.  Example spec::
 
 Exactly one of ``server_threads`` / ``client_threads`` / ``value_size``
 / ``get_fraction`` may be a list — that becomes the sweep axis; the
-cross product of systems × sweep points is measured.
+cross product of systems × sweep points is measured.  Thread counts,
+``value_size``, ``records`` and ``window_us`` must be positive and
+``get_fraction`` lie in [0, 1]; :func:`load_spec` refuses anything else
+with a :class:`~repro.errors.BenchError` naming the field.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+import math
+from typing import Any, Dict, List
 
 from repro.bench.figures import ExperimentResult, _fmt
 from repro.bench.harness import Scale, run_kv
@@ -45,19 +49,79 @@ _DEFAULTS = {
 }
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(field: str, value: Any) -> None:
+    if not (_is_number(value) and isinstance(value, int) and value >= 1):
+        raise BenchError(f"{field} must be a positive integer, got {value!r}")
+
+
+def _fraction(field: str, value: Any) -> None:
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise BenchError(f"{field} must be a number in [0, 1], got {value!r}")
+
+
+_CHECKS = {
+    "server_threads": _positive_int,
+    "client_threads": _positive_int,
+    "value_size": _positive_int,
+    "get_fraction": _fraction,
+}
+
+
 def load_spec(path: str) -> Dict:
-    """Read and validate a custom-experiment spec."""
+    """Read and validate a custom-experiment spec.
+
+    Every field :func:`run_custom` reads is type- and range-checked here,
+    so a malformed spec fails with one :class:`BenchError` before any
+    simulation starts.
+    """
     with open(path, "r", encoding="utf-8") as source:
         spec = json.load(source)
     if not isinstance(spec, dict):
         raise BenchError("spec must be a JSON object")
+    if not isinstance(spec.get("title", ""), str):
+        raise BenchError(f"title must be a string, got {spec['title']!r}")
     systems = spec.get("systems", ["jakiro"])
     if isinstance(systems, str):
         systems = [systems]
-    unknown = [name for name in systems if name not in SYSTEMS]
+    if not isinstance(systems, list) or not systems:
+        raise BenchError(f"systems must be a name or a non-empty list, got {systems!r}")
+    unknown = [
+        name for name in systems if not isinstance(name, str) or name not in SYSTEMS
+    ]
     if unknown:
         raise BenchError(f"unknown systems {unknown}; options: {sorted(SYSTEMS)}")
     spec["systems"] = systems
+    workload = spec.get("workload", {})
+    if not isinstance(workload, dict):
+        raise BenchError(f"workload must be a JSON object, got {workload!r}")
+    for key, check in _CHECKS.items():
+        if key in workload:
+            check(f"workload.{key}", workload[key])
+        value = spec.get(key)
+        if isinstance(value, list):
+            if not value:
+                raise BenchError(f"sweep {key} must list at least one point")
+            for point in value:
+                check(key, point)
+        elif key in spec:
+            check(key, value)
+    if "records" in workload:
+        _positive_int("workload.records", workload["records"])
+    seed = workload.get("seed", 0)
+    if not (_is_number(seed) and isinstance(seed, int) and seed >= 0):
+        raise BenchError(f"workload.seed must be a non-negative integer, got {seed!r}")
+    if workload.get("distribution", "uniform") not in ("uniform", "zipfian"):
+        raise BenchError(
+            "workload.distribution must be 'uniform' or 'zipfian', "
+            f"got {workload['distribution']!r}"
+        )
+    window = spec.get("window_us", 1.0)
+    if not (_is_number(window) and math.isfinite(window) and window > 0):
+        raise BenchError(f"window_us must be a positive number, got {window!r}")
     sweeps = [key for key in _SWEEPABLE if isinstance(spec.get(key), list)]
     if len(sweeps) > 1:
         raise BenchError(f"only one sweep axis allowed, got {sweeps}")

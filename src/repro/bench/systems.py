@@ -10,20 +10,16 @@ Every system exposes the same contract to the harness:
   exists.
 
 ``SYSTEMS`` maps the names used throughout the benches: ``jakiro``,
-``serverreply``, ``memcached``, ``pilaf``, ``farm``.
+``serverreply``, ``memcached`` and ``pilaf`` — the four systems of the
+paper's evaluation (§4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.baselines import (
-    FarmServer,
-    PilafServer,
-    RdmaMemcachedServer,
-    build_serverreply_kv,
-)
+from repro.baselines import PilafServer, RdmaMemcachedServer, build_serverreply_kv
 from repro.core.config import RfpConfig
 from repro.errors import BenchError
 from repro.hw.cluster import Cluster
@@ -48,19 +44,13 @@ class SystemHandle:
         return inner.server if isinstance(inner, Jakiro) else inner
 
 
-def _build_jakiro(sim, cluster, threads, config, value_limit, hybrid=True):
+def _build_jakiro(sim, cluster, threads, config, value_limit):
     if config is None:
         config = RfpConfig()
-    if not hybrid:
-        config = replace(config, hybrid_enabled=False)
     jakiro = Jakiro(
         sim, cluster, threads=threads, config=config, max_value_bytes=value_limit
     )
     return SystemHandle("jakiro", jakiro, jakiro.preload, jakiro.connect)
-
-
-def _build_jakiro_no_switch(sim, cluster, threads, config, value_limit):
-    return _build_jakiro(sim, cluster, threads, config, value_limit, hybrid=False)
 
 
 def _build_serverreply(sim, cluster, threads, config, value_limit):
@@ -90,29 +80,14 @@ def _build_pilaf(sim, cluster, threads, config, value_limit, records=None):
     return SystemHandle("pilaf", server, server.preload, server.connect)
 
 
-def _build_farm(sim, cluster, threads, config, value_limit, records=None):
-    capacity = 32768 if records is None else max(CAPACITY_FLOOR, int(records / 0.70))
-    server = FarmServer(
-        sim,
-        cluster,
-        threads=threads,
-        config=config,
-        capacity=capacity,
-        max_value_bytes=max(value_limit, 64),
-    )
-    return SystemHandle("farm", server, server.preload, server.connect)
-
-
 CAPACITY_FLOOR = 1024
 
 
 SYSTEMS = {
     "jakiro": _build_jakiro,
-    "jakiro-no-switch": _build_jakiro_no_switch,
     "serverreply": _build_serverreply,
     "memcached": _build_memcached,
     "pilaf": _build_pilaf,
-    "farm": _build_farm,
 }
 
 
@@ -127,13 +102,12 @@ def build_system(
 ) -> SystemHandle:
     """Build one system under test by name.
 
-    ``records`` hints the dataset size so structures with fixed geometry
-    (Pilaf's 75%-filled cuckoo table, FaRM's hopscotch table) match the
-    paper's fill regime.
+    ``records`` hints the dataset size so Pilaf's fixed-geometry cuckoo
+    table runs at the paper's 75% fill.
     """
     builder = SYSTEMS.get(name)
     if builder is None:
         raise BenchError(f"unknown system {name!r}; options: {sorted(SYSTEMS)}")
-    if name in ("pilaf", "farm"):
+    if name == "pilaf":
         return builder(sim, cluster, threads, config, value_limit, records=records)
     return builder(sim, cluster, threads, config, value_limit)

@@ -6,8 +6,8 @@ heartbeat/lease failure detection (:mod:`.membership`), replica takeover
 on shard death (:mod:`.failover`), a unified range-migration engine with
 live load-aware vnode rebalancing (:mod:`.migration`), recovery/rejoin
 range streaming built on it (:mod:`.recovery`), deterministic fault
-injection (:mod:`.faults`), client-side routing with per-shard (R, F)
-adaptation (:mod:`.router`), multi-key atomic transactions
+injection (:mod:`.faults`), client-side routing with per-attempt
+deadlines and re-routing (:mod:`.router`), multi-key atomic transactions
 (:mod:`.txn`), twice-built distributed data structures
 (:mod:`.structures`), and per-shard instruments (:mod:`.metrics`).
 See ``docs/cluster.md`` for the design.

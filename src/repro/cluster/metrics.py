@@ -2,25 +2,25 @@
 
 One :class:`ShardMetrics` per shard rides the standard
 :mod:`repro.sim.monitor` instruments (Counters for op/timeout counts, a
-Tally for routed-op latency), and :class:`ClusterMetrics` aggregates
-them into report rows.  Readout is idle-safe: a shard that served
-nothing during the window reports NaN latency percentiles instead of
-crashing the report (see :meth:`repro.sim.monitor.Tally.percentile`).
+Tally for routed-op latency), and :class:`ClusterMetrics` holds one
+per shard.  Readout is idle-safe: a shard that served nothing during
+the window reports NaN latency percentiles instead of crashing the
+reader (see :meth:`repro.sim.monitor.Tally.percentile`).
 
 Besides the cumulative counters the aggregate keeps a *windowed* view:
 per-shard (and per-vnode, when the router attributes a ring token) op
 counts since the last :meth:`ClusterMetrics.reset_window`.  The window
 is reset in sim time by whoever reads it — the rebalance controller
 resets after each decision interval — so the load signal tracks the
-*current* skew instead of averaging over the whole run.  Benches read
-the same signal via the ``load_ratio`` report column, so the balancer
-and the reports can never disagree about what "hot" means.
+*current* skew instead of averaging over the whole run.
+:meth:`ClusterMetrics.load_imbalance` reads the same window, so the
+balancer and the benches can never disagree about what "hot" means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ClusterError
 from repro.sim.monitor import Counter, Tally
@@ -159,52 +159,3 @@ class ClusterMetrics:
         if not loads or total == 0:
             return _NAN
         return max(loads) / (total / len(loads))
-
-    def report_rows(self) -> List[List[object]]:
-        """One row per shard, idle-shard safe (NaN for empty tallies).
-
-        ``load_ratio`` is the shard's windowed ops over the windowed
-        per-shard mean — the exact signal the rebalance controller
-        thresholds on — so a report showing ``3.0`` on one shard and
-        ``0.1`` on the rest *is* the skew the balancer saw.
-        """
-        window = self._window_ops
-        window_mean = sum(window.values()) / max(len(window), 1)
-        rows: List[List[object]] = []
-        for name in sorted(self.shards):
-            metrics = self.shards[name]
-            shard_window = window.get(name, 0)
-            ratio = shard_window / window_mean if window_mean > 0 else _NAN
-            rows.append(
-                [
-                    name,
-                    metrics.gets.value,
-                    metrics.puts.value,
-                    metrics.timeouts.value,
-                    metrics.failover_ops.value,
-                    metrics.transferred_keys.value,
-                    metrics.recoveries.value,
-                    metrics.rebalanced_vnodes.value,
-                    round(metrics.latency_us.mean(default=_NAN), 3),
-                    round(metrics.latency_us.percentile(99, default=_NAN), 3),
-                    shard_window,
-                    round(ratio, 3),
-                ]
-            )
-        return rows
-
-    #: Column names matching :meth:`report_rows`.
-    REPORT_COLUMNS = [
-        "shard",
-        "gets",
-        "puts",
-        "timeouts",
-        "failover_ops",
-        "transferred_keys",
-        "recoveries",
-        "rebalanced_vnodes",
-        "mean_latency_us",
-        "p99_latency_us",
-        "window_ops",
-        "load_ratio",
-    ]

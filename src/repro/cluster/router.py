@@ -19,18 +19,12 @@ key, guards every attempt with an operation timeout, and re-routes to a
 replica when a shard stops answering.  Writes are primary-backup: a PUT
 is acknowledged only once every healthy replica applied it, which is
 what makes failover lose no acknowledged write.
-
-Per-shard (R, F) tuning rides the existing
-:class:`~repro.core.adaptive.AdaptiveParameterController`: one
-controller per shard samples only that shard's result sizes, so shards
-serving different value-size distributions converge to different fetch
-sizes F (see :meth:`RfpCluster.start_adaptive`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.failover import FailoverCoordinator
 from repro.cluster.membership import Membership, ShardStatus
@@ -53,7 +47,6 @@ from repro.cluster.txn import (
     TxnConfig,
     TxnManager,
 )
-from repro.core.adaptive import AdaptiveParameterController
 from repro.core.config import RfpConfig
 from repro.errors import ClusterError
 from repro.hw.cluster import Cluster
@@ -69,9 +62,6 @@ __all__ = ["ClusterConfig", "ShardHandle", "RfpCluster", "ClusterClient"]
 
 #: Sentinel distinguishing "operation timed out" from any RPC result.
 _TIMED_OUT = object()
-
-#: A batch operation: ``("get", key)`` or ``("put", key, value)``.
-BatchOp = Tuple
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,6 @@ class RfpCluster:
         self._clients: List["ClusterClient"] = []
         #: Multi-key atomic operations (see :mod:`repro.cluster.txn`).
         self.txns = TxnManager(self, config=txn_config)
-        self.adaptive: Dict[str, AdaptiveParameterController] = {}
         for handle in self.shards.values():
             sim.process(
                 self._heartbeat(handle), name=f"{name}.{handle.name}.heartbeat"
@@ -397,69 +386,6 @@ class RfpCluster:
             self.membership.beat(handle.name)
             yield self.sim.timeout(interval)
 
-    # ------------------------------------------------------------------
-    # Per-shard (R, F) adaptation
-    # ------------------------------------------------------------------
-
-    def start_adaptive(
-        self,
-        iops_at: Optional[Callable[[int, int], float]] = None,
-        retry_upper_bound: int = 5,
-        size_lower_bound: int = 64,
-        size_upper_bound: int = 4096,
-        interval_us: float = 250.0,
-        min_samples: int = 32,
-    ) -> Dict[str, AdaptiveParameterController]:
-        """One §3.2 controller per shard, fed only by that shard's results.
-
-        Every connected client contributes its transports to the owning
-        shard's controller, so the (R, F) each shard converges to follows
-        that shard's own value-size distribution — a shard serving 1 KB
-        values settles on a larger F than one serving 32 B values.
-        Call after the clients are connected.
-        """
-        if not self._clients:
-            raise ClusterError("connect clients before starting adaptation")
-        if iops_at is None:
-            iops_at = self._model_iops()
-        for shard_name in sorted(self.shards):
-            transports = [
-                transport
-                for client in self._clients
-                for transport in client.shard_client(shard_name).transports
-            ]
-            controller = AdaptiveParameterController(
-                self.sim,
-                transports,
-                iops_at,
-                retry_upper_bound=retry_upper_bound,
-                size_lower_bound=size_lower_bound,
-                size_upper_bound=min(
-                    size_upper_bound, self.rfp_config.response_buffer_bytes
-                ),
-                interval_us=interval_us,
-                min_samples=min_samples,
-            )
-            controller.start()
-            self.adaptive[shard_name] = controller
-        return self.adaptive
-
-    def _model_iops(self) -> Callable[[int, int], float]:
-        """Closed-form I(R, F) from the cluster's NIC model (Eq. 2)."""
-        from repro.hw.rnic import pipeline_service_time
-
-        nic = self.cluster.spec.machine.nic
-
-        def iops_at(retry: int, fetch: int) -> float:
-            return 1.0 / pipeline_service_time(
-                nic.inbound_base_us,
-                fetch,
-                nic.effective_bandwidth_bytes_per_us,
-                nic.softmax_order,
-            )
-
-        return iops_at
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RfpCluster({len(self.shards)} shards, {len(self._clients)} clients)"
 
@@ -477,9 +403,9 @@ class ClusterClient:
         #: timed out); a one-sided transport with a stuck in-flight call
         #: can never be reused safely.
         self._broken: set = set()
-        #: Per-shard serialization: batched operations run concurrently
-        #: across shards but strictly in order against any single shard
-        #: (one in-flight call per transport is an RFP invariant).
+        #: Per-shard serialization: processes sharing this client queue
+        #: FIFO for a shard's transport (one in-flight call per
+        #: transport is an RFP invariant); different shards overlap.
         self._shard_locks: Dict[str, Resource] = {}
         # Per-op process names, built once instead of per attempt.
         self._op_names = {"get": f"{self.name}.get", "put": f"{self.name}.put"}
@@ -587,38 +513,6 @@ class ClusterClient:
             service.note_put(key, value)
             return None
 
-    def execute_batch(self, operations: Sequence[BatchOp]) -> Generator:
-        """Process body: run a batch, grouping same-shard operations.
-
-        Operations are ``("get", key)`` / ``("put", key, value)`` tuples.
-        The batch is partitioned by primary shard; groups run
-        concurrently (different shards, different transports) while each
-        group executes in order.  Returns results in input order.  A
-        batch must not write the same key twice.
-        """
-        groups: Dict[str, List[int]] = {}
-        for index, operation in enumerate(operations):
-            shard_name = self._healthy_replicas(operation[1])[0]
-            groups.setdefault(shard_name, []).append(index)
-        results: List[object] = [None] * len(operations)
-
-        def run_group(indexes: List[int]) -> Generator:
-            for index in indexes:
-                operation = operations[index]
-                if operation[0] == "get":
-                    results[index] = yield from self.get(operation[1])
-                elif operation[0] == "put":
-                    results[index] = yield from self.put(operation[1], operation[2])
-                else:
-                    raise ClusterError(f"unknown batch op {operation[0]!r}")
-
-        processes: List[Process] = [
-            self.sim.process(run_group(indexes), name=f"{self.name}.batch")
-            for indexes in groups.values()
-        ]
-        yield AllOf(self.sim, processes)
-        return results
-
     # ------------------------------------------------------------------
     # Multi-key transactions (see repro.cluster.txn)
     # ------------------------------------------------------------------
@@ -629,9 +523,9 @@ class ClusterClient:
         Phase 1 locks every key strictly in sorted-key order (the global
         acquisition order that makes deadlock impossible); phase 2
         stages each value on every healthy replica — the participant
-        fan-out runs per-primary groups concurrently, like
-        :meth:`execute_batch` — then :meth:`TxnManager.commit` flips all
-        of it visible in one atomic instant.  Any participant failure
+        fan-out runs per-primary groups concurrently — then
+        :meth:`TxnManager.commit` flips all of it visible in one atomic
+        instant.  Any participant failure
         (lock attempts exhausted, no healthy replica while staging, a
         lease lost before commit) aborts: locks release, staging is
         discarded, nothing becomes visible, and :class:`ClusterError`

@@ -62,13 +62,6 @@ class RfpClientStats:
     reply_waits: Counter = field(default_factory=lambda: Counter("reply_waits"))
     busy: UtilizationMeter = field(default_factory=lambda: UtilizationMeter("client"))
 
-    def slow_fetch_fraction(self) -> float:
-        """Fraction of remote-fetch calls that needed more than one read."""
-        if self.fetch_attempts.count == 0:
-            return 0.0
-        attempts = self.fetch_attempts.samples
-        return sum(1 for a in attempts if a > 1) / len(attempts)
-
 
 class RfpClient:
     """One client thread speaking RFP to one server."""

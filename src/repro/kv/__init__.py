@@ -7,8 +7,6 @@
   partitioning across server threads (§4.1),
 - :mod:`~repro.kv.cuckoo` — the 3-way Cuckoo hash table Pilaf probes with
   one-sided reads,
-- :mod:`~repro.kv.hopscotch` — the Hopscotch-style neighborhood table
-  FaRM reads in one oversized RDMA Read (§5),
 - :mod:`~repro.kv.serialization` — the GET/PUT wire format shared by
   Jakiro and the server-reply baselines,
 - :mod:`~repro.kv.jakiro` — the Jakiro system itself: RFP transport +
@@ -17,7 +15,6 @@
 
 from repro.kv.crc import crc64
 from repro.kv.cuckoo import CuckooHashTable
-from repro.kv.hopscotch import HopscotchTable
 from repro.kv.jakiro import Jakiro, JakiroClient
 from repro.kv.serialization import (
     GET_FUNCTION,
@@ -35,7 +32,6 @@ from repro.kv.store import JakiroStore, StoreCostModel, partition_of
 __all__ = [
     "CuckooHashTable",
     "GET_FUNCTION",
-    "HopscotchTable",
     "Jakiro",
     "JakiroClient",
     "JakiroStore",

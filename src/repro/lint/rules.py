@@ -53,12 +53,6 @@ def _walk_no_nested_functions(node: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(child))
 
 
-def _function_defs(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 # ----------------------------------------------------------------------
 # no-wall-clock
 # ----------------------------------------------------------------------

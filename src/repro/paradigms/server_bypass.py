@@ -103,8 +103,3 @@ class SyntheticBypassClient:
             self.stats.rdma_reads.increment()
         self.stats.requests.increment()
         self.stats.latency_us.record(sim.now - start)
-
-    def run_forever(self) -> Generator:
-        """Process body: issue requests back to back."""
-        while True:
-            yield from self.request()

@@ -47,11 +47,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiters)

@@ -113,18 +113,6 @@ class Tracer:
         """Ring-buffer sampling stride (1 = store every wanted event)."""
         return self._sample_every
 
-    def set_enabled(self, enabled: bool) -> None:
-        """Toggle counting/storage; subscribed observers keep seeing all."""
-        self._enabled = bool(enabled)
-        self._hot = self._enabled or bool(self._observers)
-
-    def set_sampling(self, sample_every: int) -> None:
-        """Store every ``sample_every``-th wanted event (counts stay exact)."""
-        if sample_every < 1:
-            raise ReproError(f"sample_every must be >= 1, got {sample_every}")
-        self._sample_every = int(sample_every)
-        self._sample_skip = 0
-
     def wants(self, category: str) -> bool:
         """True when this tracer records ``category`` (hot-path guard).
 

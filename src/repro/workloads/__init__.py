@@ -18,7 +18,6 @@ from repro.workloads.value_sizes import (
     UniformValues,
     ValueSizeDistribution,
 )
-from repro.workloads.traces import read_trace, record_workload, write_trace
 from repro.workloads.ycsb import Operation, WorkloadSpec, YcsbWorkload, ycsb_preset
 from repro.workloads.zipf import ZipfSampler
 
@@ -32,8 +31,5 @@ __all__ = [
     "WorkloadSpec",
     "YcsbWorkload",
     "ZipfSampler",
-    "read_trace",
-    "record_workload",
-    "write_trace",
     "ycsb_preset",
 ]

@@ -1,8 +1,8 @@
-"""Edge-case tests for the Pilaf and FaRM baselines."""
+"""Edge-case tests for the Pilaf baseline."""
 
 import pytest
 
-from repro.baselines import FarmServer, PilafServer
+from repro.baselines import PilafServer
 from repro.errors import KVError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.sim import Simulator
@@ -77,70 +77,3 @@ class TestPilafEdgeCases:
         proc = sim.process(body(sim))
         sim.run()
         assert proc.value == [k + b"-value" for k in keys]
-
-
-class TestFarmEdgeCases:
-    def make_farm(self, **kwargs):
-        sim = Simulator()
-        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-        server = FarmServer(sim, cluster, **kwargs)
-        return sim, cluster, server
-
-    def test_wrapping_neighborhood_needs_two_reads(self):
-        sim, cluster, server = self.make_farm(capacity=64, neighborhood=8)
-        # Find a key homed near the end of the table so its window wraps.
-        wrap_key = None
-        for i in range(10000):
-            key = f"wrap{i}".encode()[:16]
-            if server.table.home(key) > 64 - 8:
-                wrap_key = key
-                break
-        assert wrap_key is not None
-        server.preload([(wrap_key, b"v")])
-        client = server.connect(cluster.client_machines[0])
-
-        def body(sim):
-            return (yield from client.get(wrap_key))
-
-        proc = sim.process(body(sim))
-        sim.run()
-        assert proc.value == b"v"
-        assert client.stats.rdma_reads.value == 2  # split contiguous runs
-
-    def test_oversized_key_rejected(self):
-        sim, cluster, server = self.make_farm(max_key_bytes=16)
-        client = server.connect(cluster.client_machines[0])
-
-        def body(sim):
-            yield from client.put(bytes(17), b"v")
-
-        sim.process(body(sim))
-        from repro.sim import SimulationError
-
-        with pytest.raises((KVError, SimulationError)):
-            sim.run()
-
-    def test_torn_slot_retried_under_write_load(self):
-        """A GET racing a slot rewrite sees a bad CRC and refetches."""
-        sim, cluster, server = self.make_farm(
-            capacity=256, neighborhood=8, put_write_us=3.0, max_value_bytes=64
-        )
-        server.preload([(b"hot-key-000000", b"A" * 32)])
-        reader = server.connect(cluster.client_machines[0])
-        writer = server.connect(cluster.client_machines[1])
-        observed = []
-
-        def read_loop(sim):
-            for _ in range(200):
-                observed.append((yield from reader.get(b"hot-key-000000")))
-
-        def write_loop(sim):
-            for i in range(50):
-                yield from writer.put(b"hot-key-000000", bytes([65 + i % 2]) * 32)
-
-        sim.process(read_loop(sim))
-        sim.process(write_loop(sim))
-        sim.run()
-        for value in observed:
-            assert value in (b"A" * 32, b"B" * 32)
-        assert reader.stats.checksum_retries.value > 0

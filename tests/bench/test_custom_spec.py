@@ -50,6 +50,29 @@ class TestLoadSpec:
         with pytest.raises(BenchError):
             load_spec(str(path))
 
+    def test_removed_system_rejected_with_the_options(self, tmp_path):
+        with pytest.raises(BenchError) as caught:
+            load_spec(write_spec(tmp_path, {"systems": ["farm"]}))
+        assert "['jakiro', 'memcached', 'pilaf', 'serverreply']" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"server_threads": "abc"}, "server_threads"),
+            ({"workload": [1, 2]}, "workload"),
+            ({"window_us": -5}, "window_us"),
+            ({"window_us": 0}, "window_us"),
+            ({"client_threads": [4, 0]}, "client_threads"),
+            ({"get_fraction": 1.5}, "get_fraction"),
+            ({"workload": {"records": "many"}}, "workload.records"),
+            ({"workload": {"value_size": [32, 64]}}, "workload.value_size"),
+            ({"systems": 5}, "systems"),
+        ],
+    )
+    def test_malformed_field_rejected(self, tmp_path, spec, field):
+        with pytest.raises(BenchError, match=field):
+            load_spec(write_spec(tmp_path, spec))
+
 
 class TestRunCustom:
     def test_single_point_run(self, tmp_path):
@@ -118,3 +141,14 @@ class TestRunCustom:
         )
         assert main(["--spec", path]) == 0
         assert "cli spec smoke" in capsys.readouterr().out
+
+    def test_cli_malformed_spec_is_one_line_and_exit_2(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        path = write_spec(tmp_path, {"server_threads": "abc"})
+        assert main(["--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: server_threads must be a positive integer, got 'abc'"
+        ]

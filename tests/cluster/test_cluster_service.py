@@ -1,9 +1,8 @@
 """Integration tests for the sharded RFP cluster service.
 
 Small-scale versions of what the cluster benchmarks measure: routing,
-batching, failure detection + replica takeover, durability of
-acknowledged writes, NIC silence on healthy shards, and per-shard (R, F)
-adaptation diverging with per-shard value sizes.
+the per-shard lock, failure detection + replica takeover, durability of
+acknowledged writes, and NIC silence on healthy shards.
 """
 
 import gc
@@ -142,25 +141,6 @@ class TestRouting:
         sim.run(until=500.0)
         for shard_name in service.ring.lookup_replicas(KEYS[5], 2):
             assert service.peek(shard_name, KEYS[5]) == b"both"
-
-    def test_batch_groups_by_shard_and_keeps_order(self):
-        sim, cluster, _, service = make_service()
-        service.preload([(key, b"v" * 32) for key in KEYS])
-        client = service.connect(cluster.machines[3])
-        operations = [("get", KEYS[0]), ("put", KEYS[1], b"w"), ("get", KEYS[1])]
-        out = []
-
-        def body():
-            results = yield from client.execute_batch(operations)
-            out.append(results)
-
-        sim.process(body())
-        sim.run(until=500.0)
-        (results,) = out
-        assert results[0] == b"v" * 32
-        assert results[1] is None
-        # Same-shard ordering: the GET behind the PUT of KEYS[1] sees it.
-        assert results[2] == b"w"
 
     def test_metrics_count_operations(self):
         sim, cluster, _, service = make_service()
@@ -413,44 +393,54 @@ class TestAttemptDeadline:
         assert alive == [0] * 12
 
 
-class TestAdaptive:
-    def test_per_shard_fetch_size_diverges(self):
-        """A shard serving 512 B values settles on a larger F than a shard
-        serving 64 B values — the per-shard half of §3.2.
+class TestShardLock:
+    """Processes that share one :class:`ClusterClient` queue FIFO for a
+    shard's transport (one in-flight call per transport) and overlap
+    across shards."""
 
-        (512 B, not 1 KB: past H ≈ 1 KB Eq. 2's half-credit scoring
-        correctly prefers a small first fetch plus a remainder read over
-        one bandwidth-bound large fetch.)
-        """
-        sim, cluster, _, service = make_service(shards=2, replication_factor=1)
-        small, large = [], []
-        for key in (f"key{i:04d}".encode() for i in range(200)):
-            if service.ring.lookup(key) == "shard0":
-                small.append(key)
-                service.preload([(key, b"s" * 64)])
-            else:
-                large.append(key)
-                service.preload([(key, b"L" * 512)])
-        assert small and large
-        clients = [service.connect(cluster.machines[m]) for m in (2, 3)]
-        service.start_adaptive(interval_us=100.0, min_samples=16)
+    def test_same_shard_get_queues_behind_put(self):
+        sim, cluster, tracer, service = make_service(replication_factor=1)
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3])
+        put_done = []
 
-        def body(client, keys):
-            index = 0
-            while True:
-                yield from client.get(keys[index % len(keys)])
-                index += 1
+        def writer():
+            yield from client.put(KEYS[0], b"new")
+            put_done.append(sim.now)
 
-        for client in clients:
-            sim.process(body(client, small))
-            sim.process(body(client, large))
-        sim.run(until=1200.0)
-        f_small = service.adaptive["shard0"].current_parameters[1]
-        f_large = service.adaptive["shard1"].current_parameters[1]
-        assert f_large >= 512
-        assert f_small < f_large
+        def reader():
+            return (yield from client.get(KEYS[0]))
 
-    def test_start_adaptive_requires_clients(self):
-        _, _, _, service = make_service(shards=2)
-        with pytest.raises(ClusterError):
-            service.start_adaptive()
+        write = sim.process(writer())
+        read = sim.process(reader())
+        sim.run(until=500.0)
+        assert write.finished and read.finished
+        assert read.value == b"new"
+        routes = tracer.events(label="route")
+        assert [event.data["op"] for event in routes] == ["put", "get"]
+        assert routes[0].data["shard"] == routes[1].data["shard"]
+        # The GET reached the shard only when the PUT released it.
+        assert routes[1].at_us == put_done[0] > routes[0].at_us
+
+    def test_different_shards_overlap(self):
+        sim, cluster, tracer, service = make_service(replication_factor=1)
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3])
+        first_key = {}
+        for key in KEYS:
+            first_key.setdefault(service.ring.lookup(key), key)
+        keys = [first_key[shard] for shard in sorted(first_key)[:2]]
+        finished = []
+
+        def reader(key):
+            value = yield from client.get(key)
+            finished.append(sim.now)
+            return value
+
+        reads = [sim.process(reader(key)) for key in keys]
+        sim.run(until=500.0)
+        assert [read.value for read in reads] == [b"v" * 32] * 2
+        routes = tracer.events(label="route")
+        assert len({event.data["shard"] for event in routes}) == 2
+        # Both GETs were on the wire before either returned.
+        assert max(event.at_us for event in routes) < min(finished)

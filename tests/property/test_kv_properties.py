@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.errors import KVError
 from repro.kv import (
     CuckooHashTable,
-    HopscotchTable,
     JakiroStore,
     StoreCostModel,
     crc64,
@@ -96,49 +95,6 @@ class TestCuckooProperties:
         table.insert(key, 0)
         _, probes = table.lookup(key)
         assert 1 <= probes <= 3
-
-
-class TestHopscotchProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(keys, st.integers()), min_size=0, max_size=150))
-    def test_matches_dict_and_keeps_neighborhood_invariant(self, operations):
-        table = HopscotchTable(capacity=1024, neighborhood=8)
-        model = {}
-        for key, value in operations:
-            table.insert(key, value)
-            model[key] = value
-        assert len(table) == len(model)
-        for key, value in model.items():
-            assert table.lookup(key) == value
-            slots = table.neighborhood_slots(key)
-            assert any(
-                table.slot(s) is not None and table.slot(s)[0] == key for s in slots
-            )
-
-
-class TestTraceProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), keys, values),
-            max_size=60,
-        )
-    )
-    def test_trace_round_trip_any_operations(self, raw):
-        import io
-
-        from repro.workloads import Operation
-        from repro.workloads.traces import read_trace, write_trace
-
-        operations = [
-            Operation(is_get, key, None if is_get else value)
-            for is_get, key, value in raw
-        ]
-        buffer = io.BytesIO()
-        count = write_trace(operations, buffer)
-        assert count == len(operations)
-        buffer.seek(0)
-        assert list(read_trace(buffer)) == operations
 
 
 class TestJakiroStoreProperties:

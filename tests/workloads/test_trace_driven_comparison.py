@@ -1,26 +1,21 @@
-"""Integration: a recorded trace drives two systems identically."""
+"""Integration: one YCSB operation stream drives two systems identically."""
 
-import io
+import itertools
 
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.sim import Simulator
-from repro.workloads import (
-    WorkloadSpec,
-    YcsbWorkload,
-    read_trace,
-    record_workload,
-)
+from repro.workloads import WorkloadSpec, YcsbWorkload
 
 
-def run_system_on_trace(build, trace_bytes):
-    """Run one KV system over a recorded trace; returns GET results."""
+def run_system(build, operations):
+    """Run one KV system over ``operations``; returns GET results."""
     sim = Simulator()
     cluster = build_cluster(sim, CLUSTER_EUROSYS17)
     client = build(sim, cluster)
     observations = []
 
     def body(sim):
-        for op in read_trace(io.BytesIO(trace_bytes)):
+        for op in operations:
             if op.is_get:
                 observations.append((op.key, (yield from client.get(op.key))))
             else:
@@ -47,33 +42,17 @@ def build_serverreply(sim, cluster):
 
 class TestTraceDrivenComparison:
     def test_two_systems_agree_on_every_get(self):
-        """Replaying one trace against RFP-Jakiro and ServerReply-KV must
-        produce byte-identical GET results — different transports, same
-        semantics."""
+        """Feeding one operation sequence to RFP-Jakiro and ServerReply-KV
+        must produce byte-identical GET results — different transports,
+        same semantics."""
         spec = WorkloadSpec(records=64, get_fraction=0.6, seed=5)
-        buffer = io.BytesIO()
-        record_workload(YcsbWorkload(spec), "driver", 120, buffer)
-        trace = buffer.getvalue()
+        operations = list(
+            itertools.islice(YcsbWorkload(spec).operations("driver"), 120)
+        )
+        assert any(op.is_get for op in operations)
+        assert any(not op.is_get for op in operations)
 
-        jakiro_results = run_system_on_trace(build_jakiro, trace)
-        reply_results = run_system_on_trace(build_serverreply, trace)
+        jakiro_results = run_system(build_jakiro, operations)
+        reply_results = run_system(build_serverreply, operations)
         assert len(jakiro_results) > 0
         assert jakiro_results == reply_results
-
-    def test_gets_after_puts_observe_the_put(self):
-        spec = WorkloadSpec(records=32, get_fraction=0.5, seed=9)
-        buffer = io.BytesIO()
-        record_workload(YcsbWorkload(spec), "driver", 100, buffer)
-        trace = buffer.getvalue()
-        results = run_system_on_trace(build_jakiro, trace)
-        # Replay the trace logically to compute expected visibility.
-        expected = {}
-        position = 0
-        for op in read_trace(io.BytesIO(trace)):
-            if op.is_get:
-                key, observed = results[position]
-                assert key == op.key
-                assert observed == expected.get(op.key)
-                position += 1
-            else:
-                expected[op.key] = op.value
