@@ -25,6 +25,7 @@ from repro.bench.figures import ExperimentResult, _fmt
 from repro.bench.harness import Scale
 from repro.core.client import RfpClient
 from repro.core.server import RfpServer
+from repro.errors import BenchError
 from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17
 from repro.sim.core import Simulator
@@ -113,7 +114,9 @@ def measure_breakdown(
         fetches.append(done - publish)
         totals.append(latency)
     if not totals:
-        raise RuntimeError("no complete calls traced")
+        raise BenchError(
+            f"no complete calls traced in a {scale.window_us} us window"
+        )
     return PhaseBreakdown(
         send_us=float(np.mean(sends)),
         server_us=float(np.mean(servers)),

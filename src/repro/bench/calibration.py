@@ -46,21 +46,15 @@ def measure_inbound_iops(
     window_us: float = 3000.0,
     cluster_spec: ClusterSpec = CLUSTER_EUROSYS17,
     *,
-    reference: bool = False,
-    return_dispatched: bool = False,
     sim: Optional[Simulator] = None,
-):
+) -> float:
     """Aggregate MOPS the server NIC serves when ``client_threads``
     (spread over 7 machines) issue synchronous RDMA Reads at it.
 
-    ``reference=True`` replays the same run on the retained pre-PR
-    engine and ``return_dispatched=True`` also returns the dispatched
-    event count — both exist for the ``repro.bench speed`` suite.
-    ``sim`` lets an orchestrator supply the fresh simulator instead
-    (``reference`` is then ignored).
+    ``sim`` lets an orchestrator supply the fresh simulator.
     """
     if sim is None:
-        sim = Simulator(reference=reference)
+        sim = Simulator()
     cluster = build_cluster(sim, cluster_spec)
     server_region = cluster.server.register_memory(1 << 20)
     warmup = window_us * 0.25
@@ -76,10 +70,7 @@ def measure_inbound_iops(
             _sync_read_loop(sim, endpoint, local, server_region, size, meter, post_cpu)
         )
     sim.run(until=window_us)
-    mops = meter.mops(elapsed=window_us - warmup)
-    if return_dispatched:
-        return mops, sim.dispatched
-    return mops
+    return meter.mops(elapsed=window_us - warmup)
 
 
 def measure_outbound_iops(

@@ -7,6 +7,10 @@ Usage::
     python -m repro.bench --full          # report-quality windows
     python -m repro.bench --list          # show the registry
     python -m repro.bench --out out.txt   # also write the report to a file
+
+An experiment that raises a library error (a breached audit or headline
+check) stops the run with one ``error: <id>: ...`` line and exit 1; the
+sections that finished before it are still appended to ``--out``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import List, Optional
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import Scale
 from repro.bench.report import format_result, write_csv
+from repro.errors import ReproError
 
 __all__ = ["main"]
 
@@ -52,15 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--chart", action="store_true", help="also render terminal bar charts"
     )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="BENCH_sim_speed.json",
-        default=None,
-        metavar="PATH",
-        help="with 'speed': also write the perf-trajectory artifact "
-        "(default BENCH_sim_speed.json in the current directory)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -82,7 +78,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import json
 
         from repro.bench.custom import load_spec, run_custom
-        from repro.errors import ReproError
 
         scale = Scale.full_scale() if args.full else Scale.fast()
         try:
@@ -103,16 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sink.write(section + "\n")
         return 0
 
-    if args.experiments == ["speed"]:
-        from repro.bench.speed import format_speed_report, run_speed_suite, write_artifact
-
-        results = run_speed_suite()
-        print(format_speed_report(results))
-        if args.json:
-            path = write_artifact(results, args.json)
-            print(f"[wrote {path}]")
-        return 0
-
     selected = args.experiments or sorted(EXPERIMENTS)
     unknown = [e for e in selected if e not in EXPERIMENTS]
     if unknown:
@@ -122,10 +107,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     scale = Scale.full_scale() if args.full else Scale.fast()
     sections = []
+    failed = False
     for experiment_id in selected:
         # Host wall time for CLI progress output only — never feeds a model.
         started = time.time()  # lint: disable=no-wall-clock
-        result = run_experiment(experiment_id, scale)
+        try:
+            result = run_experiment(experiment_id, scale)
+        except ReproError as error:
+            print(f"error: {experiment_id}: {error}", file=sys.stderr)
+            failed = True
+            break
         elapsed = time.time() - started  # lint: disable=no-wall-clock
         section = format_result(result)
         sections.append(section)
@@ -138,10 +129,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[{experiment_id} completed in {elapsed:.1f}s]\n")
         if args.csv:
             write_csv(result, args.csv)
-    if args.out:
+    if args.out and sections:
         with open(args.out, "a", encoding="utf-8") as sink:
             sink.write("\n\n".join(sections) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

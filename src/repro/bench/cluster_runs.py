@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.figures import ExperimentResult, _fmt
+from repro.bench.figures import ExperimentResult, _fmt, _run_exp_spec
 from repro.bench.harness import Scale
 from repro.errors import BenchError
 
@@ -71,16 +71,6 @@ _PHASE_COLUMNS = [
     "lost_acked_writes",
     "acked_keys",
 ]
-
-
-def _run_exp_spec(experiment_id: str, scale: Scale):
-    """Lazy import: :mod:`repro.exp` initializes through this package."""
-    from repro.exp.library import SPECS
-    from repro.exp.runner import ExperimentRunner, default_observers
-
-    spec = SPECS[experiment_id]
-    runner = ExperimentRunner(observers=default_observers())
-    return spec, runner.run(spec, scale)
 
 
 def run_ext_cluster_scaling(scale: Scale) -> ExperimentResult:

@@ -13,21 +13,23 @@ metrics.  The payload separates two kinds of data explicitly:
   :mod:`repro.exp.trajectory` comparisons ignore them structurally
   (nothing needs a field-by-field skip list).
 
+``repro.exp/v1`` is the one artifact schema: every repo-root
+``BENCH_<suite>.json`` is written by a suite of :mod:`repro.exp.suites`.
 Validation is declarative (:data:`ARTIFACT_SCHEMA`) and intentionally
 strict about shape but not values: the tier-1 gate validates every
-``BENCH_*.json`` at the repo root through :func:`validate_bench_payload`
-so a hand-edited or truncated artifact fails loudly.
+``BENCH_*.json`` at the repo root through :func:`validate_artifact`
+so a hand-edited, truncated or foreign artifact fails loudly.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpError
-from repro.provenance import git_provenance, scale_provenance
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -35,11 +37,13 @@ __all__ = [
     "deterministic_view",
     "load_payload",
     "validate_artifact",
-    "validate_bench_payload",
     "write_payload",
 ]
 
 SCHEMA_VERSION = "repro.exp/v1"
+
+#: src/repro/exp/artifact.py -> repo root.
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Scalar JSON types metric values may take.
 _METRIC_TYPES = (int, float, str, bool)
@@ -56,6 +60,31 @@ def _round_floats(value):
     if isinstance(value, (list, tuple)):
         return [_round_floats(item) for item in value]
     return value
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args],
+        cwd=_REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=10,
+    ).stdout.strip()
+
+
+def _git_provenance() -> Dict[str, object]:
+    """``{"git_sha": ..., "git_dirty": ...}`` for the working tree.
+
+    Falls back to ``"unknown"`` outside a git checkout (e.g. an sdist)
+    rather than failing the run that asked for a stamp.
+    """
+    try:
+        sha = _git("rev-parse", "HEAD")
+        dirty = bool(_git("status", "--porcelain"))
+    except (OSError, subprocess.SubprocessError):
+        return {"git_sha": "unknown", "git_dirty": False}
+    return {"git_sha": sha, "git_dirty": dirty}
 
 
 def build_payload(
@@ -89,8 +118,13 @@ def build_payload(
                 "conditions": conditions,
             }
         )
-    provenance: Dict[str, object] = dict(git_provenance())
-    provenance["scale"] = scale_provenance(scale)
+    provenance = _git_provenance()
+    provenance["scale"] = {
+        "window_us": float(scale.window_us),
+        "warmup_fraction": float(scale.warmup_fraction),
+        "records": int(scale.records),
+        "full": bool(scale.full),
+    }
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
@@ -144,7 +178,7 @@ def load_payload(path: str) -> Dict[str, object]:
         raise ExpError(f"cannot read artifact {path}: {error}") from error
     except json.JSONDecodeError as error:
         raise ExpError(f"artifact {path} is not valid JSON: {error}") from error
-    validate_bench_payload(payload, where=path)
+    validate_artifact(payload, where=path)
     return payload
 
 
@@ -185,7 +219,8 @@ def _check_fields(
     return mapping
 
 
-#: Top-level shape of a ``repro.exp/v1`` artifact.
+#: Top-level shape of a ``repro.exp/v1`` artifact.  ``schema`` stays
+#: first: :func:`validate_artifact` checks it on its own before the rest.
 ARTIFACT_SCHEMA: Dict[str, Sequence[Field]] = {
     "root": (
         Field("schema", (str,)),
@@ -228,11 +263,14 @@ def validate_artifact(
     Raises :class:`~repro.errors.ExpError` naming the offending path on
     the first violation; returns ``None`` on success.
     """
-    root = _check_fields(payload, ARTIFACT_SCHEMA["root"], where)
+    # The schema value first: a foreign artifact is refused by its
+    # schema alone, not by whichever v1 field it happens to lack.
+    root = _check_fields(payload, ARTIFACT_SCHEMA["root"][:1], where)
     if root["schema"] != SCHEMA_VERSION:
         raise ExpError(
             f"{where}: schema {root['schema']!r} is not {SCHEMA_VERSION!r}"
         )
+    _check_fields(root, ARTIFACT_SCHEMA["root"], where)
     provenance = _check_fields(
         root["provenance"], ARTIFACT_SCHEMA["provenance"], f"{where}.provenance"
     )
@@ -267,72 +305,7 @@ def validate_artifact(
                     )
 
 
-#: Shape of the ``repro.bench.speed/v2`` artifact (the engine-speed
-#: suite keeps its own writer; the gate validates both families).
-SPEED_SCHEMA: Dict[str, Sequence[Field]] = {
-    "root": (
-        Field("schema", (str,)),
-        Field("provenance", (dict,)),
-        Field("repetitions", (int,)),
-        Field("scenarios", (list,), non_empty=True),
-        Field("frozen_baseline", (dict,)),
-    ),
-    "scenario": (
-        Field("name", (str,), non_empty=True),
-        Field("dispatched_fast", (int,)),
-        Field("dispatched_reference", (int,)),
-        Field("modeled_mops", (int, float)),
-        Field("wall_s_fast", (int, float)),
-        Field("wall_s_reference", (int, float)),
-    ),
-}
-
-
-def validate_speed_artifact(
-    payload: Mapping[str, object], where: str = "artifact"
-) -> None:
-    """Structurally validate a ``repro.bench.speed/v2`` payload."""
-    from repro.bench.speed import SCHEMA_VERSION as SPEED_VERSION
-
-    root = _check_fields(payload, SPEED_SCHEMA["root"], where)
-    if root["schema"] != SPEED_VERSION:
-        raise ExpError(
-            f"{where}: schema {root['schema']!r} is not {SPEED_VERSION!r}"
-        )
-    provenance = _check_fields(
-        root["provenance"], ARTIFACT_SCHEMA["provenance"], f"{where}.provenance"
-    )
-    _check_fields(
-        provenance["scale"], ARTIFACT_SCHEMA["scale"], f"{where}.provenance.scale"
-    )
-    for index, scenario in enumerate(root["scenarios"]):  # type: ignore[index]
-        _check_fields(
-            scenario, SPEED_SCHEMA["scenario"], f"{where}.scenarios[{index}]"
-        )
-
-
-def validate_bench_payload(
-    payload: Mapping[str, object], where: str = "artifact"
-) -> None:
-    """Validate any repo-root ``BENCH_*.json`` by its schema family."""
-    if not isinstance(payload, Mapping) or "schema" not in payload:
-        raise ExpError(f"{where}: artifact has no 'schema' field")
-    schema = payload["schema"]
-    if not isinstance(schema, str):
-        raise ExpError(f"{where}: 'schema' must be a string")
-    if schema.startswith("repro.exp/"):
-        validate_artifact(payload, where)
-    elif schema.startswith("repro.bench.speed/"):
-        validate_speed_artifact(payload, where)
-    else:
-        raise ExpError(f"{where}: unknown artifact schema family {schema!r}")
-
-
 def repo_root_artifacts(root: Optional[str] = None) -> List[str]:
     """Every ``BENCH_*.json`` path at the repo root (sorted)."""
-    base = (
-        Path(root)
-        if root is not None
-        else Path(__file__).resolve().parents[3]
-    )
+    base = Path(root) if root is not None else _REPO_ROOT
     return sorted(str(path) for path in base.glob("BENCH_*.json"))

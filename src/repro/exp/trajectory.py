@@ -123,8 +123,15 @@ def compare_payloads(
     """Diff two validated ``repro.exp/v1`` payloads.
 
     Raises :class:`~repro.errors.ExpError` when the two artifacts are
-    not commensurable (different schema versions or different suites).
+    not commensurable (different schema versions or different suites),
+    or when ``rel_tolerance`` is not a finite number in [0, 1): NaN, an
+    infinite or a >= 1 tolerance would switch the regression gate off,
+    and a negative one would flag gains.
     """
+    if not 0.0 <= rel_tolerance < 1.0:
+        raise ExpError(
+            f"tolerance must be a number in [0, 1), got {rel_tolerance!r}"
+        )
     for name, payload in (("baseline", baseline), ("candidate", candidate)):
         schema = payload.get("schema")
         if schema != SCHEMA_VERSION:

@@ -29,8 +29,8 @@ split across two structures for speed:
 
 ``Simulator(reference=True)`` retains the original single-heap engine
 (zero-delay entries heap-pushed, timeouts built from plain events).  It
-exists so equivalence tests and the ``repro.bench speed`` suite can
-prove the fast paths preserve ordering and measure what they save.
+exists so the equivalence tests and golden traces can prove the fast
+paths preserve dispatch order and count.
 
 Time is a ``float`` in microseconds by project convention.
 """
@@ -80,8 +80,7 @@ class Simulator:
         heap-pushed and :meth:`timeout` builds a plain :class:`Event`.
         Dispatch order is identical either way (the fast engine merges
         its ready deque into the heap order by ``(time, seq)``); the
-        reference engine exists as the slow half of equivalence tests
-        and speed benchmarks.
+        reference engine exists as the slow half of equivalence tests.
     """
 
     def __init__(self, reference: bool = False) -> None:
@@ -94,12 +93,12 @@ class Simulator:
         self._ready: Deque[Tuple[int, Callable[..., Any], Tuple[Any, ...]]] = deque()
         self._seq = 0
         self._running = False
-        self.reference = reference
         self._fast = not reference
         #: Total callbacks dispatched across all ``run()`` calls.  The
-        #: dispatch sequence is deterministic, so this count is too —
-        #: the speed benchmarks report it and assert it matches between
-        #: the fast and reference engines.
+        #: dispatch sequence is deterministic, so this count is too, and
+        #: it is the same under both engines (the equivalence tests
+        #: assert that); the perf-workload and hot-path-budget tests pin
+        #: its value.
         self.dispatched = 0
 
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.breakdown import measure_breakdown
 from repro.bench.harness import Scale
+from repro.errors import BenchError
 
 
 class TestMeasureBreakdown:
@@ -28,3 +29,9 @@ class TestMeasureBreakdown:
         assert breakdown.fetch_us > 0
         # Unloaded, a call is a handful of microseconds.
         assert breakdown.total_us < 8.0
+
+    def test_window_with_no_complete_call_is_a_bench_error(self):
+        # The CLI reports a ReproError as one line; a bare RuntimeError
+        # would end in a traceback.
+        with pytest.raises(BenchError, match="no complete calls"):
+            measure_breakdown(0.5, client_threads=1, scale=Scale(window_us=1.0))

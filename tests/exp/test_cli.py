@@ -70,37 +70,26 @@ class TestExpCli:
 
     def test_compare_mismatched_schemas_exits_2(self, tmp_path, capsys):
         a = toy_artifact(tmp_path, "a.json", 5.0)
-        speed_like = {
-            "schema": "repro.bench.speed/v2",
-            "provenance": {
-                "git_sha": "x",
-                "git_dirty": False,
-                "scale": {
-                    "window_us": 1.0,
-                    "warmup_fraction": 0.25,
-                    "records": 1,
-                    "full": False,
-                },
-            },
-            "repetitions": 1,
-            "scenarios": [
-                {
-                    "name": "s",
-                    "dispatched_fast": 1,
-                    "dispatched_reference": 1,
-                    "modeled_mops": 0.0,
-                    "wall_s_fast": 0.1,
-                    "wall_s_reference": 0.1,
-                }
-            ],
-            "frozen_baseline": {},
-        }
+        # A bare foreign schema: it is refused by that field alone.
         path = tmp_path / "speed.json"
-        path.write_text(json.dumps(speed_like), encoding="utf-8")
+        path.write_text(
+            json.dumps({"schema": "repro.bench.speed/v2"}), encoding="utf-8"
+        )
         assert exp_main(["compare", a, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "repro.exp/v1" in err
+        assert "Traceback" not in err
+
+    def test_compare_tolerance_that_disables_the_gate_exits_2(
+        self, tmp_path, capsys
+    ):
+        a = toy_artifact(tmp_path, "a.json", 5.0)
+        b = toy_artifact(tmp_path, "b.json", 2.5)
+        assert exp_main(["compare", a, b, "--tolerance", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: tolerance")
         assert "Traceback" not in err
 
 
@@ -140,3 +129,34 @@ class TestBenchCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_failed_experiment_is_one_line_and_keeps_finished_sections(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.bench.cli import main as bench_main
+        from repro.bench.experiments import EXPERIMENTS, Experiment
+        from repro.bench.figures import ExperimentResult
+        from repro.errors import BenchError
+
+        def passing(scale):
+            return ExperimentResult(
+                "quick", "Quick", ["x"], [[1]], paper_expectation="flat"
+            )
+
+        def breaching(scale):
+            raise BenchError("audit breached: 1 lost acked write")
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "quick", Experiment("quick", "Quick", passing)
+        )
+        monkeypatch.setitem(
+            EXPERIMENTS, "breach", Experiment("breach", "Breach", breaching)
+        )
+        out = tmp_path / "report.txt"
+        assert bench_main(["quick", "breach", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: breach: audit breached: 1 lost acked write"
+        ]
+        assert "Traceback" not in err
+        assert "== quick: Quick ==" in out.read_text(encoding="utf-8")

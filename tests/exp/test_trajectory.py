@@ -116,6 +116,18 @@ class TestCompare:
         )
         assert not lenient.regressions
 
+    @pytest.mark.parametrize(
+        "tolerance", [float("nan"), float("inf"), 1.0, 5.0, -0.01]
+    )
+    def test_tolerance_outside_unit_interval_refused(self, tolerance):
+        # Each of these would pass a halved throughput (or flag a gain).
+        with pytest.raises(ExpError, match=r"tolerance must be a number in \[0, 1\)"):
+            compare_payloads(
+                payload({"mops": 5.0}),
+                payload({"mops": 2.5}),
+                rel_tolerance=tolerance,
+            )
+
 
 class TestCommensurability:
     def test_schema_mismatch_refused(self):

@@ -309,6 +309,61 @@ class TestEngineEquivalence:
         fast, reference, _ = run_both(scenario)
         assert fast == reference == ["SimulationError", False]
 
+    def test_event_churn_cascade_matches_reference(self):
+        # A zero-delay completion cascade over a backlog of parked
+        # timers: the regime the ready deque exists for, where the
+        # reference engine pays two heap operations per step.
+        rounds, backlog = 500, 2_000
+
+        def scenario(sim, trace):
+            for index in range(backlog):
+                sim.timeout(1e6 + index)
+            done = Event(sim).trigger()
+            remaining = [rounds]
+
+            def fire(event):
+                trace.append((sim.now, remaining[0]))
+                if remaining[0] > 0:
+                    remaining[0] -= 1
+                    done.wait(fire)
+
+            done.wait(fire)
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference
+        assert len(fast) == rounds + 1
+        # One dispatch per wait on the done event, one per parked timer.
+        assert sim_fast.dispatched == sim_ref.dispatched == rounds + 1 + backlog
+        assert sim_fast.now == sim_ref.now == 1e6 + backlog - 1
+        # The fast engine runs the whole cascade off the deque.
+        assert sim_fast._ready.appends == rounds + 1
+        assert sim_ref._ready.appends == 0
+
+    def test_timeout_storm_matches_reference(self):
+        # Processes sleeping on staggered timeouts: many wakes share a
+        # timestamp, so the order among them is the seq tie-break.
+        processes, wakes = 64, 20
+
+        def scenario(sim, trace):
+            def sleeper(index, delay):
+                for _ in range(wakes):
+                    yield sim.timeout(delay)
+                    trace.append((index, sim.now))
+
+            for index in range(processes):
+                sim.process(sleeper(index, 0.5 + (index % 16) * 0.25))
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference
+        assert len(fast) == processes * wakes
+        # A start step per process, then a fire and a resume per wake.
+        assert (
+            sim_fast.dispatched
+            == sim_ref.dispatched
+            == processes * (1 + 2 * wakes)
+        )
+        assert sim_fast.now == sim_ref.now
+
 
 # ----------------------------------------------------------------------
 # Timeout fast-path semantics

@@ -83,9 +83,9 @@ def test_every_record_call_site_is_declared():
 
 
 def test_bench_artifacts_at_repo_root_are_schema_valid():
-    """Every checked-in ``BENCH_*.json`` must validate against its
-    artifact schema (``repro.exp/v1`` or ``repro.bench.speed/v2``) —
-    a drifted writer or a hand-edited artifact fails the plain suite."""
+    """Every checked-in ``BENCH_*.json`` must validate against the one
+    artifact schema, ``repro.exp/v1`` — a drifted writer, a hand-edited
+    artifact or a foreign one fails the plain suite."""
     from repro.exp.artifact import load_payload, repo_root_artifacts
 
     artifacts = repo_root_artifacts()
