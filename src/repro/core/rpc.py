@@ -18,7 +18,14 @@ from typing import Callable, Generator, List, Optional, Tuple
 from repro.core.client import RfpClient
 from repro.errors import ProtocolError
 
-__all__ = ["RpcClient", "RpcServer", "RPC_OK", "RPC_APP_ERROR", "RPC_NO_FUNCTION"]
+__all__ = [
+    "RESPONSE_PREFIX_BYTES",
+    "RpcClient",
+    "RpcServer",
+    "RPC_OK",
+    "RPC_APP_ERROR",
+    "RPC_NO_FUNCTION",
+]
 
 RPC_OK = 0
 RPC_APP_ERROR = 1
@@ -26,6 +33,8 @@ RPC_NO_FUNCTION = 2
 
 _REQUEST_PREFIX = struct.Struct("<BB")
 _RESPONSE_PREFIX = struct.Struct("<B")
+#: Bytes a response carries ahead of the handler's result.
+RESPONSE_PREFIX_BYTES = _RESPONSE_PREFIX.size
 
 #: ``handler(args, ctx) -> (status, result_bytes, process_time_us)``
 RpcHandler = Callable[[bytes, object], Tuple[int, bytes, float]]

@@ -42,10 +42,15 @@ DEFAULT_REL_TOLERANCE = 0.005
 
 
 def metric_direction(name: str) -> int:
-    """+1 higher-is-better, -1 lower-is-better, 0 neutral."""
+    """+1 higher-is-better, -1 lower-is-better, 0 neutral.
+
+    Throughput (``mops``, ``*_mops``) is higher-is-better.  Losses
+    (``lost*``) and times in microseconds (``*_us``: latencies, the
+    hand-off and queue-drain instants) are lower-is-better.
+    """
     if name == "mops" or name.endswith("_mops"):
         return 1
-    if name.startswith("lost"):
+    if name.startswith("lost") or name.endswith("_us"):
         return -1
     return 0
 

@@ -17,7 +17,8 @@ design rests on emerge from first principles:
 Layers:
 
 - :mod:`~repro.hw.specs` — frozen dataclass specs with ConnectX-2/3/4 presets,
-- :mod:`~repro.hw.memory` — RNIC-registered memory regions (real bytes),
+- :mod:`~repro.hw.memory` — RNIC-registered memory regions (real bytes,
+  zero-filled on demand),
 - :mod:`~repro.hw.rnic` — the two-pipeline NIC model + contention penalties,
 - :mod:`~repro.hw.verbs` — queue pairs and one/two-sided verbs,
 - :mod:`~repro.hw.network` — switch propagation model,

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.errors import RegistrationError
-from repro.hw.memory import MemoryRegion
+from repro.hw.memory import Arena, MemoryRegion
 from repro.hw.rnic import RNIC
 from repro.hw.specs import MachineSpec
 from repro.sim.core import Simulator
@@ -26,7 +24,7 @@ class Machine:
         self.spec = spec
         self.name = name
         self.rnic = RNIC(sim, spec.nic, owner_name=name)
-        self._regions: List[MemoryRegion] = []
+        self._arena = Arena()
         # Running tally for the budget check; summing per registration
         # turns region-heavy setups (cluster rejoin) quadratic.
         self._in_use_bytes = 0
@@ -39,15 +37,20 @@ class Machine:
         """Allocate and register ``size`` bytes with the RNIC.
 
         Mirrors ``malloc_buf`` in the RFP API (Table 2): RDMA verbs only
-        accept registered regions.
+        accept registered regions.  The bytes are carved from this
+        machine's :class:`~repro.hw.memory.Arena` without being written:
+        the region reads as zeros and becomes resident only as it is
+        written.  The budget of ``spec.memory_gb`` counts registered
+        bytes, resident or not.
         """
         budget = self.spec.memory_gb * (1 << 30)
         if self._in_use_bytes + size > budget:
             raise RegistrationError(
                 f"{self.name}: registering {size} B exceeds {self.spec.memory_gb} GB"
             )
-        region = MemoryRegion(self, size, name=name)
-        self._regions.append(region)
+        if size <= 0:
+            raise RegistrationError(f"region size must be positive, got {size}")
+        region = MemoryRegion(self, self._arena.carve(size), name=name)
         self._in_use_bytes += size
         return region
 
@@ -63,7 +66,7 @@ class Machine:
 
     def registered_bytes(self) -> int:
         """Total bytes currently registered with the RNIC."""
-        return sum(r.size for r in self._regions if r.registered)
+        return self._in_use_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Machine({self.name}, {self.cores} cores, {self.rnic.spec.name})"

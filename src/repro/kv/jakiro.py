@@ -20,7 +20,9 @@ from the RFP transport's ``call``, so all the remote-fetch machinery
 stays beneath the stubs without a generator frame per layer.
 
 A request the store rejects (a key or value over its size limits) is
-answered with :data:`~repro.kv.serialization.STATUS_TOO_LARGE`; the
+answered with :data:`~repro.kv.serialization.STATUS_TOO_LARGE`, and so
+is a GET of a stored value too large for the response buffer (a preload
+or a recovery transfer skips the request-size check a PUT meets); the
 client raises :class:`~repro.errors.KVError` and the server thread goes
 on serving.
 """
@@ -31,7 +33,8 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.core.client import RfpClient
 from repro.core.config import RfpConfig
-from repro.core.rpc import RPC_OK, RpcClient, RpcServer
+from repro.core.headers import RESPONSE_HEADER_BYTES
+from repro.core.rpc import RESPONSE_PREFIX_BYTES, RPC_OK, RpcClient, RpcServer
 from repro.core.server import RequestContext, RfpServer
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.hw.cluster import Cluster
@@ -83,6 +86,12 @@ class Jakiro:
         self.cluster = cluster
         self.machine = machine if machine is not None else cluster.server
         self.config = config if config is not None else RfpConfig()
+        # The largest value a GET response fits in the response buffer.
+        self._max_get_value_bytes = (
+            self.config.response_buffer_bytes
+            - RESPONSE_HEADER_BYTES
+            - RESPONSE_PREFIX_BYTES
+        )
         self.store = JakiroStore(
             partitions=threads,
             buckets_per_partition=buckets_per_partition,
@@ -154,6 +163,8 @@ class Jakiro:
         value, cost = self.store.get(context.thread_id, key)
         if value is None:
             return STATUS_NOT_FOUND, b"", cost
+        if len(value) > self._max_get_value_bytes:
+            return STATUS_TOO_LARGE, b"", cost
         return STATUS_OK, value, cost
 
     def _handle_put(

@@ -14,7 +14,8 @@ The benchmark harness measures everything through four instruments:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +41,10 @@ class Tally:
     """Collects scalar samples and reports order statistics.
 
     Samples are kept in full (runs in this project are bounded to a few
-    hundred thousand samples), so percentiles are exact.
+    hundred thousand samples), so percentiles are exact.  They are stored
+    unboxed, as float64 in an ``array("d")``: an integer sample (a fetch
+    attempt count) reads back as a float, and recording anything that is
+    not a number raises :class:`TypeError`.
 
     Empty-sample readout is *defined*: every scalar readout
     (:meth:`mean`, :meth:`minimum`, :meth:`maximum`, :meth:`percentile`)
@@ -53,7 +57,7 @@ class Tally:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._samples: List[float] = []
+        self._samples = array("d")
 
     def record(self, sample: float) -> None:
         self._samples.append(sample)

@@ -51,6 +51,19 @@ class TestDirections:
         assert metric_direction("lost_acked_writes") == -1
         assert metric_direction("dispatched") == 0
 
+    @pytest.mark.parametrize(
+        "name, direction",
+        [
+            ("mean_latency_us", -1),
+            ("p99_latency_us", -1),
+            ("handoff_at_us", -1),
+            ("queue_done_us", -1),
+            ("status", 0),
+        ],
+    )
+    def test_times_in_microseconds_are_lower_is_better(self, name, direction):
+        assert metric_direction(name) == direction
+
 
 class TestCompare:
     def test_identical_payloads_report_clean(self):
@@ -93,6 +106,17 @@ class TestCompare:
             payload({"lost_acked_writes": 1}),
         )
         assert comparison.regressions
+
+    @pytest.mark.parametrize("factor, regressions", [(1.1, 1), (0.9, 0)])
+    def test_latency_rise_is_a_regression_and_fall_is_not(
+        self, factor, regressions
+    ):
+        comparison = compare_payloads(
+            payload({"p99_latency_us": 20.0}),
+            payload({"p99_latency_us": 20.0 * factor}),
+        )
+        assert comparison.changed
+        assert len(comparison.regressions) == regressions
 
     def test_neutral_metric_change_reported_not_flagged(self):
         comparison = compare_payloads(

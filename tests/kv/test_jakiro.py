@@ -137,6 +137,44 @@ class TestJakiroSemantics:
         sim.run()
         assert outcome == {"puts": 0, "rng_untouched": True, "value": b"v" * 64}
 
+    @pytest.mark.parametrize("size", [16376, 16384])
+    def test_get_of_a_stored_value_too_large_to_serve_is_refused(self, size):
+        # A preload skips the request-size check a PUT meets, so the store
+        # holds a value that, behind the RPC status byte, overflows the
+        # 16,376 B left in the response buffer after its header.
+        sim, cluster, jakiro = make_jakiro(threads=2)
+        small = next(
+            key
+            for key in (b"small-%d" % index for index in range(64))
+            if partition_of(key, 2) == partition_of(b"k1", 2)
+        )
+        jakiro.preload([(b"k1", b"v" * size), (small, b"fits")])
+        client = jakiro.connect(cluster.client_machines[0])
+        outcome = {}
+
+        def body(sim):
+            with pytest.raises(KVError, match="status 17"):
+                yield from client.get(b"k1")
+            # The same server thread goes on serving.
+            outcome["next"] = yield from client.get(small)
+
+        sim.process(body(sim))
+        sim.run()
+        assert outcome == {"next": b"fits"}
+
+    def test_largest_servable_value_round_trips(self):
+        sim, cluster, jakiro = make_jakiro(threads=2)
+        value = bytes(range(256)) * 63 + bytes(range(247))  # 16,375 B
+        jakiro.preload([(b"k1", value)])
+        client = jakiro.connect(cluster.client_machines[0])
+
+        def body(sim):
+            return (yield from client.get(b"k1"))
+
+        proc = sim.process(body(sim))
+        sim.run()
+        assert proc.value == value
+
     def test_fast_server_stays_in_remote_fetch(self):
         sim, cluster, jakiro = make_jakiro()
         client = jakiro.connect(cluster.client_machines[0])

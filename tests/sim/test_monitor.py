@@ -2,8 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Counter, Tally, ThroughputMeter, UtilizationMeter
+
+#: Finite samples of both kinds callers record: float latencies and
+#: integer fetch-attempt counts, bounded so no readout overflows.
+SAMPLES = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+        st.integers(min_value=-(10**9), max_value=10**9),
+    ),
+    min_size=1,
+    max_size=200,
+)
 
 
 class TestCounter:
@@ -75,6 +88,56 @@ class TestTally:
             tally.record(sample)
         counts = tally.histogram([0, 1, 2, 3])
         assert list(counts) == [1, 2, 1]
+
+
+class TestTallyStorage:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        samples=SAMPLES,
+        p=st.floats(min_value=0.0, max_value=100.0),
+        points=st.integers(min_value=1, max_value=50),
+        bins=st.lists(
+            st.floats(min_value=-1e12, max_value=1e12),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        ).map(sorted),
+    )
+    def test_readouts_equal_numpy_on_a_list(self, samples, p, points, bins):
+        tally = Tally()
+        for sample in samples:
+            tally.record(sample)
+        assert tally.count == len(samples)
+        assert tally.mean() == float(np.mean(samples))
+        assert tally.minimum() == float(np.min(samples))
+        assert tally.maximum() == float(np.max(samples))
+        assert tally.percentile(p) == float(np.percentile(samples, p))
+        ordered = np.sort(np.asarray(samples, dtype=float))
+        probs = np.arange(1, len(ordered) + 1) / len(ordered)
+        if len(ordered) > points:
+            idx = np.linspace(0, len(ordered) - 1, points).astype(int)
+            ordered, probs = ordered[idx], probs[idx]
+        values, cumulative = tally.cdf(points)
+        assert np.array_equal(values, ordered)
+        assert np.array_equal(cumulative, probs)
+        expected, _ = np.histogram(samples, bins=np.asarray(bins, dtype=float))
+        assert np.array_equal(tally.histogram(bins), expected)
+
+    @pytest.mark.parametrize("sample", ["x", None])
+    def test_non_number_refused(self, sample):
+        tally = Tally()
+        with pytest.raises(TypeError):
+            tally.record(sample)
+        assert tally.count == 0
+
+    def test_samples_slice_returns_the_tail(self):
+        tally = Tally()
+        for sample in [1, 2.5, 3]:
+            tally.record(sample)
+        tail = tally.samples[1:]
+        assert list(tail) == [2.5, 3.0]
+        # Integer samples read back as floats.
+        assert [type(sample) for sample in tally.samples] == [float] * 3
 
 
 class TestThroughputMeter:
