@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro
-from repro.sim import Simulator, ThroughputMeter
-from repro.workloads import WorkloadSpec, YcsbWorkload
+from repro.sim import Simulator
+from repro.workloads import ClosedLoop, WorkloadSpec, YcsbWorkload, kv_operations
 
 WINDOW_US = 3000.0
 CLIENT_THREADS = 35
@@ -29,27 +29,19 @@ def main() -> None:
     jakiro.preload(workload.dataset())
     print(f"preloaded {jakiro.store.size()} pairs: {workload.spec.describe()}")
 
-    warmup = WINDOW_US * 0.25
-    meter = ThroughputMeter(window_start=warmup, window_end=WINDOW_US)
+    # Each client thread issues its next GET/PUT as soon as the last one
+    # returns; the first quarter of the window is warm-up.
+    loop = ClosedLoop(sim, WINDOW_US, WINDOW_US * 0.25)
     clients = []
-
-    def driver(sim, client, operations):
-        for op in operations:
-            if op.is_get:
-                yield from client.get(op.key)
-            else:
-                yield from client.put(op.key, op.value)
-            meter.record(sim.now)
-
     for index in range(CLIENT_THREADS):
         client = jakiro.connect(cluster.client_machines[index % 7])
         clients.append(client)
-        sim.process(driver(sim, client, workload.operations(f"c{index}")))
-    sim.run(until=WINDOW_US)
+        loop.spawn(kv_operations(client, workload.operations(f"c{index}")))
+    loop.run()
 
     latencies = np.concatenate([c.latency_samples() for c in clients])
     attempts = np.concatenate([c.fetch_attempt_samples() for c in clients])
-    print(f"\nthroughput:       {meter.mops(elapsed=WINDOW_US - warmup):.2f} MOPS "
+    print(f"\nthroughput:       {loop.mops():.2f} MOPS "
           "(paper: ~5.5)")
     print(f"mean latency:     {np.mean(latencies):.2f} us (paper: 5.78)")
     print(f"99th percentile:  {np.percentile(latencies, 99):.2f} us (paper: <7)")

@@ -12,9 +12,12 @@ for the aggregation state.)
 Run:  python examples/stats_service.py
 """
 
+import itertools
+
 from repro.apps import StatsService
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
-from repro.sim import Simulator, ThroughputMeter
+from repro.sim import Simulator
+from repro.workloads import ClosedLoop
 
 WINDOW_US = 2500.0
 
@@ -25,20 +28,17 @@ def run_service(transport: str) -> tuple:
     # The only transport-aware line in the whole application:
     service = StatsService(sim, cluster, threads=4, transport=transport)
 
-    meter = ThroughputMeter(window_start=WINDOW_US * 0.25, window_end=WINDOW_US)
+    loop = ClosedLoop(sim, WINDOW_US, WINDOW_US * 0.25)
     metrics = [f"api.endpoint.{i}.latency".encode() for i in range(32)]
 
-    def workload(sim, client, offset):
-        index = offset
-        while True:
-            yield from client.record(metrics[index % 32], float(index % 100))
-            meter.record(sim.now)
-            index += 1
+    def records(client, offset):
+        for index in itertools.count(offset):
+            yield client.record(metrics[index % 32], float(index % 100))
 
     clients = [service.connect(cluster.client_machines[i % 7]) for i in range(35)]
     for index, client in enumerate(clients):
-        sim.process(workload(sim, client, index * 13))
-    sim.run(until=WINDOW_US)
+        loop.spawn(records(client, index * 13))
+    loop.run()
 
     # One final query through a fresh client, to show reads work too.
     sim2_probe = {}
@@ -48,7 +48,7 @@ def run_service(transport: str) -> tuple:
 
     sim.process(probe(sim))
     sim.run(until=WINDOW_US + 50.0)
-    return meter.mops(elapsed=WINDOW_US * 0.75), sim2_probe["snap"]
+    return loop.mops(), sim2_probe["snap"]
 
 
 def main() -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Tuple
+from typing import Generator, Optional, Sequence, Tuple
 
 from repro.core.config import RfpConfig
 from repro.core.rpc import RpcClient, RpcServer
@@ -206,7 +206,11 @@ class PilafServer:
 
 
 class PilafClient:
-    """A Pilaf client: one-sided GETs, server-reply PUTs (Fig. 8b)."""
+    """A Pilaf client: one-sided GETs, server-reply PUTs (Fig. 8b).
+
+    Its client CPU is not metered and its GETs fetch no results, so
+    :meth:`busy_time` is 0.0 and :meth:`fetch_attempt_samples` is empty.
+    """
 
     def __init__(
         self,
@@ -237,6 +241,12 @@ class PilafClient:
             )
         )
         machine.rnic.register_issuer()
+
+    def busy_time(self) -> float:
+        return 0.0
+
+    def fetch_attempt_samples(self) -> Sequence[float]:
+        return []
 
     # ------------------------------------------------------------------
     # GET: pure one-sided (Fig. 8b)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Tuple
+from typing import Generator, Optional, Sequence, Tuple
 
 from repro.core.config import RfpConfig
 from repro.core.headers import REQUEST_HEADER_BYTES, RequestHeader
@@ -243,6 +243,14 @@ class RdmaMemcachedClient:
         self.name = name or f"memcached-client@{machine.name}"
         self.transport = ServerReplyClient(sim, machine, server, name=self.name)
         self._rpc = RpcClient(self.transport)
+
+    def busy_time(self) -> float:
+        """Client CPU time spent in the transport (µs)."""
+        return self.transport.stats.busy.busy_time
+
+    def fetch_attempt_samples(self) -> Sequence[float]:
+        """Remote fetches per call (empty: replies are always pushed)."""
+        return self.transport.stats.fetch_attempts.samples
 
     def get(self, key: bytes) -> Generator:
         """Process body: GET; returns value or ``None``."""

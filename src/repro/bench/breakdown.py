@@ -30,6 +30,7 @@ from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17
 from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
+from repro.workloads.loop import ClosedLoop, repeat
 
 __all__ = ["PhaseBreakdown", "measure_breakdown", "run_breakdown"]
 
@@ -54,6 +55,7 @@ def measure_breakdown(
 ) -> PhaseBreakdown:
     """Run a controlled-process-time workload and decompose latency."""
     sim = Simulator()
+    loop = ClosedLoop(sim, scale.window_us, scale.window_us * scale.warmup_fraction)
     cluster = build_cluster(sim, CLUSTER_EUROSYS17)
     tracer = Tracer(sim)
     response = bytes(response_bytes)
@@ -65,12 +67,6 @@ def measure_breakdown(
         sim, cluster, cluster.server, handler, server_threads, tracer=tracer
     )
     clients: List[RfpClient] = []
-
-    def loop(sim, client):
-        payload = bytes(16)
-        while True:
-            yield from client.call(payload)
-
     for index in range(client_threads):
         machine = cluster.client_machines[index % len(cluster.client_machines)]
         # Names key the trace stitching: they must be unique per client.
@@ -78,8 +74,8 @@ def measure_breakdown(
             sim, machine, server, tracer=tracer, name=f"bd-client-{index}"
         )
         clients.append(client)
-        sim.process(loop(sim, client))
-    sim.run(until=scale.window_us)
+        loop.spawn(repeat(client.call, bytes(16)))
+    loop.run()
 
     # Stitch phases per (client, seq).  call_started is implicit: the
     # previous call's call_done (or 0 for seq 1) — we instead use the

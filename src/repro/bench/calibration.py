@@ -2,21 +2,26 @@
 
 These are the experiments the paper runs before designing RFP: raw
 synchronous one-sided operation loops that expose the in-bound vs
-out-bound asymmetry, its thread scaling, and the size crossover.  The
-same curves feed the §3.2 parameter selection (``N`` from the Fig. 9
-curve, ``[L, H]`` from the Fig. 5 curve).
+out-bound asymmetry, its thread scaling, and the size crossover, plus
+the server-bypass loop whose throughput collapses with the one-sided
+operations each request needs (Fig. 6).  The same curves feed the §3.2
+parameter selection (``N`` from the Fig. 9 curve, ``[L, H]`` from the
+Fig. 5 curve).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
+from repro.paradigms.server_bypass import SyntheticBypassClient
 from repro.sim.core import Simulator
-from repro.sim.monitor import ThroughputMeter
+from repro.workloads.loop import ClosedLoop, repeat
 
 __all__ = [
+    "BypassRun",
+    "measure_bypass",
     "measure_inbound_iops",
     "measure_outbound_iops",
     "inbound_iops_curve",
@@ -25,19 +30,14 @@ __all__ = [
     "measured_fetch_round_trip_us",
 ]
 
-
-def _sync_read_loop(sim, endpoint, local, remote, size, meter, post_cpu):
-    while True:
-        yield post_cpu
-        yield endpoint.post_read(local, 0, remote, 0, size)
-        meter.record(sim.now)
+#: The raw-verb probes discard the first quarter of their window.
+_PROBE_WARMUP_FRACTION = 0.25
 
 
-def _sync_write_loop(sim, endpoint, local, remote, size, meter, post_cpu):
-    while True:
-        yield post_cpu
-        yield endpoint.post_write(local, 0, remote, 0, size)
-        meter.record(sim.now)
+def _synchronous(post, local, remote, size, post_cpu):
+    """One synchronous verb: the posting CPU cost, then the verb itself."""
+    yield post_cpu
+    yield post(local, 0, remote, 0, size)
 
 
 def measure_inbound_iops(
@@ -55,10 +55,9 @@ def measure_inbound_iops(
     """
     if sim is None:
         sim = Simulator()
+    loop = ClosedLoop(sim, window_us, window_us * _PROBE_WARMUP_FRACTION)
     cluster = build_cluster(sim, cluster_spec)
     server_region = cluster.server.register_memory(1 << 20)
-    warmup = window_us * 0.25
-    meter = ThroughputMeter(window_start=warmup, window_end=window_us)
     post_cpu = cluster_spec.machine.nic.post_cpu_us
     machines = cluster.client_machines
     for index in range(client_threads):
@@ -66,11 +65,11 @@ def measure_inbound_iops(
         endpoint, _ = cluster.connect(machine, cluster.server)
         machine.rnic.register_issuer()
         local = machine.register_memory(max(64, size))
-        sim.process(
-            _sync_read_loop(sim, endpoint, local, server_region, size, meter, post_cpu)
+        loop.spawn(
+            repeat(_synchronous, endpoint.post_read, local, server_region, size, post_cpu)
         )
-    sim.run(until=window_us)
-    return meter.mops(elapsed=window_us - warmup)
+    loop.run()
+    return loop.mops()
 
 
 def measure_outbound_iops(
@@ -84,9 +83,8 @@ def measure_outbound_iops(
     synchronous RDMA Writes to the 7 client machines."""
     if sim is None:
         sim = Simulator()
+    loop = ClosedLoop(sim, window_us, window_us * _PROBE_WARMUP_FRACTION)
     cluster = build_cluster(sim, cluster_spec)
-    warmup = window_us * 0.25
-    meter = ThroughputMeter(window_start=warmup, window_end=window_us)
     post_cpu = cluster_spec.machine.nic.post_cpu_us
     for index in range(server_threads):
         client = cluster.client_machines[index % len(cluster.client_machines)]
@@ -94,11 +92,50 @@ def measure_outbound_iops(
         cluster.server.rnic.register_issuer()
         local = cluster.server.register_memory(max(64, size))
         remote = client.register_memory(max(64, size))
-        sim.process(
-            _sync_write_loop(sim, server_endpoint, local, remote, size, meter, post_cpu)
+        loop.spawn(
+            repeat(_synchronous, server_endpoint.post_write, local, remote, size, post_cpu)
         )
-    sim.run(until=window_us)
-    return meter.mops(elapsed=window_us - warmup)
+    loop.run()
+    return loop.mops()
+
+
+class BypassRun(NamedTuple):
+    """One server-bypass measurement (Fig. 6, Table 1's bypass corner)."""
+
+    mops: float
+    requests: int
+    inbound_ops: int
+
+
+def measure_bypass(
+    amplification: int,
+    client_threads: int,
+    window_us: float,
+    warmup_fraction: float,
+    *,
+    sim: Optional[Simulator] = None,
+) -> BypassRun:
+    """Server-bypass requests of ``amplification`` one-sided reads each.
+
+    Returns the request MOPS and the requests completed in the
+    post-warm-up window, and the one-sided operations the server NIC's
+    in-bound pipeline served over the whole run.
+    """
+    if sim is None:
+        sim = Simulator()
+    loop = ClosedLoop(sim, window_us, window_us * warmup_fraction)
+    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+    region = cluster.server.register_memory(1 << 20)
+    machines = cluster.client_machines
+    for index in range(client_threads):
+        client = SyntheticBypassClient(
+            sim, machines[index % len(machines)], cluster, region, amplification
+        )
+        loop.spawn(repeat(client.request))
+    loop.run()
+    return BypassRun(
+        loop.mops(), loop.completions(), cluster.server.rnic.in_pipeline.operations
+    )
 
 
 def inbound_iops_curve(

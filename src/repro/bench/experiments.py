@@ -56,11 +56,6 @@ def _register() -> Dict[str, Experiment]:
             extensions.run_ablation_symmetric,
         ),
         (
-            "ext-multiserver",
-            "Extension: Jakiro sharded across servers (§4.5)",
-            extensions.run_ext_multiserver,
-        ),
-        (
             "ext-cluster-scaling",
             "Cluster: aggregate throughput vs shard count (1-6)",
             cluster_runs.run_ext_cluster_scaling,

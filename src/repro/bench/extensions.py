@@ -5,10 +5,8 @@
   premise is the asymmetry; on symmetric hardware remote fetching should
   buy (almost) nothing over server-reply.  This is the causal test of
   the paper's Observation 1.
-- ``ext-multiserver`` — §4.5 closes with "a better aggregated throughput
-  if the number of clients is higher than the number of servers":
-  shard Jakiro across several server machines and watch aggregate
-  throughput scale with server count.
+- ``ext-lock-bypass`` — §5's lock-based bypass (DrTM-style CAS
+  spinlocks) against Jakiro, uniform vs Zipf keys.
 - ``ext-ud-rpc`` — §5's related-work argument, measured: a HERD-style
   UC/UD RPC out-rates RC server-reply (cheap datagram issue) but still
   trails RFP, and message loss costs it real throughput through
@@ -17,21 +15,19 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, Iterator, List
 
 from repro.baselines.herd import HerdServer
 from repro.bench.figures import ExperimentResult, _fmt, _spec
-from repro.bench.harness import Scale, run_kv
-from repro.cluster import ClusterConfig, RfpCluster
+from repro.bench.harness import Scale, run_controlled_process_time, run_kv
 from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec, MachineSpec, NicSpec
 from repro.sim.core import Simulator
-from repro.sim.monitor import ThroughputMeter
-from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
+from repro.workloads.loop import ClosedLoop, kv_operations, repeat
+from repro.workloads.ycsb import Operation, WorkloadSpec, YcsbWorkload
 
 __all__ = [
     "run_ablation_symmetric",
-    "run_ext_multiserver",
     "run_ext_ud_rpc",
     "run_ext_lock_bypass",
     "SYMMETRIC_CLUSTER",
@@ -96,70 +92,10 @@ def run_ablation_symmetric(scale: Scale) -> ExperimentResult:
     )
 
 
-def run_ext_multiserver(scale: Scale) -> ExperimentResult:
-    """Aggregate Jakiro throughput with 1-3 server machines (§4.5).
-
-    Uses an 18-machine cluster (the testbed's InfiniScale-IV switch has
-    18 ports) so the client side can actually offer enough load to
-    saturate several servers.  Sharding and key routing ride the
-    :mod:`repro.cluster` layer (consistent-hash ring, RF=1); the wide
-    operation timeout keeps the failure detector quiet so this measures
-    pure scaling, not failover.
-    """
-    cluster_spec = ClusterSpec(
-        machine=CLUSTER_EUROSYS17.machine,
-        machines=18,
-        switch_hop_us=CLUSTER_EUROSYS17.switch_hop_us,
-    )
-    rows = []
-    for servers in (1, 2, 3):
-        sim = Simulator()
-        cluster = build_cluster(sim, cluster_spec)
-        service = RfpCluster(
-            sim,
-            cluster,
-            shards=servers,
-            cluster_config=ClusterConfig(replication_factor=1, op_timeout_us=500.0),
-        )
-        client_machines = cluster.machines[servers:]
-        workload = YcsbWorkload(WorkloadSpec(records=scale.records))
-        service.preload(workload.dataset())
-
-        window = scale.window_us
-        warmup = window * 0.25
-        meter = ThroughputMeter(window_start=warmup, window_end=window)
-        client_threads = 5 * len(client_machines)
-
-        def loop(sim, client, operations):
-            for op in operations:
-                if op.is_get:
-                    yield from client.get(op.key)
-                else:
-                    yield from client.put(op.key, op.value)
-                meter.record(sim.now)
-
-        for index in range(client_threads):
-            machine = client_machines[index % len(client_machines)]
-            # One logical client thread; its ClusterClient counts once
-            # toward its NIC's issuing contention however many shards it
-            # talks to.
-            client = service.connect(machine, name=f"c{index}")
-            sim.process(loop(sim, client, workload.operations(f"c{index}")))
-        sim.run(until=window)
-        rows.append([servers, client_threads, _fmt(meter.mops(elapsed=window - warmup))])
-    return ExperimentResult(
-        "ext-multiserver",
-        "Extension: Jakiro sharded across server machines",
-        ["server_machines", "client_threads", "aggregate_mops"],
-        rows,
-        paper_expectation=(
-            "§4.5: the asymmetry pays off whenever clients outnumber "
-            "servers; aggregate throughput should scale with server count"
-        ),
-        observations=(
-            f"{rows[0][2]} -> {rows[-1][2]} MOPS from 1 to {rows[-1][0]} servers"
-        ),
-    )
+def _truncated(operations: Iterable[Operation], limit: int) -> Iterator[Operation]:
+    """``operations`` with every PUT value cut to ``limit`` bytes."""
+    for op in operations:
+        yield op if op.is_get else op._replace(value=op.value[:limit])
 
 
 def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
@@ -170,7 +106,6 @@ def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
     amplification on top — while Jakiro's EREW server shrugs at skew.
     """
     from repro.baselines.drtm import DrtmServer
-    from repro.workloads.ycsb import YcsbWorkload
 
     rows = []
     for distribution in ("uniform", "zipfian"):
@@ -187,31 +122,23 @@ def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
         workload = YcsbWorkload(spec)
         server.preload(workload.dataset())
         window = scale.window_us
-        warmup = window * 0.25
-        meter = ThroughputMeter(window_start=warmup, window_end=window)
+        loop = ClosedLoop(sim, window, window * scale.warmup_fraction)
         clients = []
-
-        def loop(sim, client, operations):
-            for op in operations:
-                if op.is_get:
-                    yield from client.get(op.key)
-                else:
-                    yield from client.put(op.key, op.value[: server.max_value_bytes])
-                meter.record(sim.now)
-
         for index in range(35):
             client = server.connect(cluster.client_machines[index % 7])
             clients.append(client)
-            sim.process(loop(sim, client, workload.operations(f"c{index}")))
-        sim.run(until=window)
-        drtm_mops = meter.mops(elapsed=window - warmup)
+            operations = _truncated(
+                workload.operations(f"c{index}"), server.max_value_bytes
+            )
+            loop.spawn(kv_operations(client, operations))
+        loop.run()
         retries = sum(c.stats.cas_retries.value for c in clients)
-        completed = max(1, meter.completions)
+        completed = max(1, loop.completions())
         rows.append(
             [
                 distribution,
                 _fmt(jakiro.throughput_mops),
-                _fmt(drtm_mops),
+                _fmt(loop.mops()),
                 _fmt(retries / completed),
             ]
         )
@@ -235,8 +162,6 @@ def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
 
 def run_ext_ud_rpc(scale: Scale) -> ExperimentResult:
     """HERD-style UC/UD RPC vs RFP vs server-reply, with and without loss."""
-    from repro.bench.harness import run_controlled_process_time
-
     rows: List[List] = []
     rfp = run_controlled_process_time("rfp", 0.2, scale=scale)
     reply = run_controlled_process_time("serverreply", 0.2, scale=scale)
@@ -253,26 +178,19 @@ def run_ext_ud_rpc(scale: Scale) -> ExperimentResult:
             loss_probability=loss,
         )
         window = scale.window_us
-        warmup = window * 0.25
-        meter = ThroughputMeter(window_start=warmup, window_end=window)
+        loop = ClosedLoop(sim, window, window * scale.warmup_fraction)
         clients = []
-
-        def loop(sim, client):
-            while True:
-                yield from client.call(bytes(16))
-                meter.record(sim.now)
-
         for index in range(35):
             client = server.connect(cluster.client_machines[index % 7])
             clients.append(client)
-            sim.process(loop(sim, client))
-        sim.run(until=window)
+            loop.spawn(repeat(client.call, bytes(16)))
+        loop.run()
         retransmits = sum(c.stats.retransmits.value for c in clients)
         rows.append(
             [
                 "herd (UC/UD)",
                 loss,
-                _fmt(meter.mops(elapsed=window - warmup)),
+                _fmt(loop.mops()),
                 retransmits,
             ]
         )

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.bench.calibration import (
     inbound_iops_curve,
+    measure_bypass,
     measured_fetch_round_trip_us,
     model_inbound_iops,
     outbound_iops_curve,
@@ -29,11 +30,7 @@ from repro.bench.harness import (
 )
 from repro.core.config import RfpConfig
 from repro.core.params import derive_retry_bound, derive_size_bounds, select_parameters
-from repro.hw.cluster import build_cluster
-from repro.hw.specs import CLUSTER_EUROSYS17, CONNECTX2, ClusterSpec, MachineSpec
-from repro.paradigms.server_bypass import SyntheticBypassClient
-from repro.sim.core import Simulator
-from repro.sim.monitor import ThroughputMeter
+from repro.hw.specs import CONNECTX2, ClusterSpec, MachineSpec
 from repro.sim.random import seeded_rng
 from repro.workloads.value_sizes import FixedValues, UniformValues
 from repro.workloads.ycsb import WorkloadSpec
@@ -173,26 +170,9 @@ def run_fig6(scale: Scale) -> ExperimentResult:
     window = scale.window_us
     rows = []
     for ops in ops_counts:
-        sim = Simulator()
-        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-        region = cluster.server.register_memory(1 << 20)
-        warmup = window * 0.25
-        meter = ThroughputMeter(window_start=warmup, window_end=window)
-
-        def loop(sim, client):
-            while True:
-                yield from client.request()
-                meter.record(sim.now)
-
-        for index in range(21):  # the paper's 21 client threads
-            client = SyntheticBypassClient(
-                sim, cluster.client_machines[index % 7], cluster, region, ops
-            )
-            sim.process(loop(sim, client))
-        sim.run(until=window)
-        throughput = meter.mops(elapsed=window - warmup)
-        inbound = cluster.server.rnic.in_pipeline.operations / window
-        rows.append([ops, _fmt(throughput), _fmt(inbound)])
+        # The paper's 21 client threads.
+        run = measure_bypass(ops, 21, window, scale.warmup_fraction)
+        rows.append([ops, _fmt(run.mops), _fmt(run.inbound_ops / window)])
     return ExperimentResult(
         "fig6",
         "Bypass access amplification",

@@ -1,16 +1,18 @@
-"""Closed-loop measurement harness.
+"""The two closed-loop entry points of the evaluation.
 
 Every evaluation number in the paper is a closed-loop measurement: N
 client threads issue synchronous operations back to back, throughput is
 completions per second in a steady-state window, latency the per-op
-round trip.  :func:`run_kv` reproduces that for the KV systems;
-:func:`run_controlled_process_time` reproduces the RDTSC-controlled
-process-time experiments (Figs. 9, 14, 15).
+round trip.  The loop itself is :class:`repro.workloads.ClosedLoop`;
+this module builds what it drives.  :func:`run_kv` runs one KV system
+under a YCSB workload and reads the clients' busy time and fetch
+attempts and the server's counters through typed methods;
+:func:`run_controlled_process_time` runs the RDTSC-controlled
+process-time echo RPC (Figs. 9, 14, 15).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -26,7 +28,7 @@ from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
 from repro.paradigms.server_reply import ServerReplyClient, ServerReplyServer
 from repro.sim.core import Simulator
-from repro.sim.monitor import ThroughputMeter
+from repro.workloads.loop import ClosedLoop, kv_operations, repeat
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 
 __all__ = ["Scale", "KvRunResult", "run_kv", "run_controlled_process_time"]
@@ -102,6 +104,8 @@ def run_kv(
         raise BenchError("need at least one client thread")
     if sim is None:
         sim = Simulator()
+    window = scale.window_us
+    loop = ClosedLoop(sim, window, window * scale.warmup_fraction)
     cluster = build_cluster(sim, cluster_spec)
     handle = build_system(
         system,
@@ -115,77 +119,29 @@ def run_kv(
     generator = YcsbWorkload(workload)
     handle.preload(generator.dataset())
 
-    window = scale.window_us
-    warmup = window * scale.warmup_fraction
-    meter = ThroughputMeter(window_start=warmup, window_end=window)
-    latencies: List[float] = []
     clients = []
-
-    def client_loop(sim, client, operations):
-        for operation in operations:
-            began = sim.now
-            if operation.is_get:
-                yield from client.get(operation.key)
-            else:
-                yield from client.put(operation.key, operation.value)
-            now = sim.now
-            meter.record(now)
-            if now >= warmup:
-                latencies.append(now - began)
-
     machines = cluster.client_machines
     for index in range(client_threads):
         client = handle.connect(machines[index % len(machines)])
         clients.append(client)
-        operations = generator.operations(f"client-{index}")
-        sim.process(client_loop(sim, client, operations), name=f"driver-{index}")
-    sim.run(until=window)
+        operations = kv_operations(client, generator.operations(f"client-{index}"))
+        loop.spawn(operations, name=f"driver-{index}")
+    loop.run()
 
-    measured = window - warmup
-    busy = sum(_client_busy(client) for client in clients)
-    cpu = min(1.0, busy / (client_threads * window)) if window > 0 else 0.0
-    attempts = list(
-        itertools.chain.from_iterable(
-            _client_fetch_attempts(client) for client in clients
-        )
-    )
-    server = handle.rfp_server()
+    busy = sum(client.busy_time() for client in clients)
+    stats = handle.server_stats
     return KvRunResult(
         system=system,
-        throughput_mops=meter.mops(elapsed=measured),
-        latency_us=np.asarray(latencies, dtype=float),
-        client_cpu_utilization=cpu,
-        fetch_attempts=attempts,
-        replies_sent=getattr(getattr(server, "stats", None), "replies_sent", None).value
-        if hasattr(server, "stats")
-        else 0,
-        requests_served=getattr(getattr(server, "stats", None), "requests", None).value
-        if hasattr(server, "stats")
-        else 0,
-        operations_completed=meter.completions,
+        throughput_mops=loop.mops(),
+        latency_us=np.array(loop.latency_us.samples, dtype=float),
+        client_cpu_utilization=min(1.0, busy / (client_threads * window)),
+        fetch_attempts=[
+            int(a) for client in clients for a in client.fetch_attempt_samples()
+        ],
+        replies_sent=stats.replies_sent.value if stats is not None else 0,
+        requests_served=stats.requests.value if stats is not None else 0,
+        operations_completed=loop.completions(),
     )
-
-
-def _client_busy(client) -> float:
-    """Total busy CPU time of one client thread, whatever its type."""
-    if hasattr(client, "busy_time"):  # JakiroClient-style aggregation
-        return client.busy_time()
-    transport = getattr(client, "transport", None)
-    if transport is not None and hasattr(transport, "stats"):
-        return transport.stats.busy.busy_time
-    stats = getattr(client, "stats", None)
-    if stats is not None and hasattr(stats, "busy"):
-        return stats.busy.busy_time
-    return 0.0
-
-
-def _client_fetch_attempts(client) -> List[int]:
-    if hasattr(client, "fetch_attempt_samples"):
-        return [int(a) for a in client.fetch_attempt_samples()]
-    transport = getattr(client, "transport", None)
-    if transport is not None and hasattr(transport, "stats"):
-        return [int(a) for a in transport.stats.fetch_attempts.samples]
-    return []
 
 
 def run_controlled_process_time(
@@ -208,6 +164,8 @@ def run_controlled_process_time(
     """
     if sim is None:
         sim = Simulator()
+    window = scale.window_us
+    loop = ClosedLoop(sim, window, window * scale.warmup_fraction)
     cluster = build_cluster(sim, cluster_spec)
     response = bytes(response_bytes)
 
@@ -232,30 +190,14 @@ def run_controlled_process_time(
     else:
         raise BenchError(f"unknown mode {mode!r}")
 
-    window = scale.window_us
-    warmup = window * scale.warmup_fraction
-    meter = ThroughputMeter(window_start=warmup, window_end=window)
-    latencies: List[float] = []
     clients = []
-
-    def loop(sim, client):
-        payload = bytes(16)
-        while True:
-            began = sim.now
-            yield from client.call(payload)
-            now = sim.now
-            meter.record(now)
-            if now >= warmup:
-                latencies.append(now - began)
-
     for index in range(client_threads):
         machine = cluster.client_machines[index % len(cluster.client_machines)]
         client = client_class(sim, machine, server, base)
         clients.append(client)
-        sim.process(loop(sim, client), name=f"driver-{index}")
-    sim.run(until=window)
+        loop.spawn(repeat(client.call, bytes(16)), name=f"driver-{index}")
+    loop.run()
 
-    measured = window - warmup
     busy = sum(c.stats.busy.busy_time for c in clients)
     attempts = [
         int(a) for c in clients for a in c.stats.fetch_attempts.samples
@@ -263,12 +205,12 @@ def run_controlled_process_time(
     in_reply_mode = sum(1 for c in clients if c.policy.mode is Mode.SERVER_REPLY)
     return KvRunResult(
         system=mode,
-        throughput_mops=meter.mops(elapsed=measured),
-        latency_us=np.asarray(latencies, dtype=float),
+        throughput_mops=loop.mops(),
+        latency_us=np.array(loop.latency_us.samples, dtype=float),
         client_cpu_utilization=min(1.0, busy / (client_threads * window)),
         fetch_attempts=attempts,
         replies_sent=server.stats.replies_sent.value,
         requests_served=server.stats.requests.value,
-        operations_completed=meter.completions,
+        operations_completed=loop.completions(),
         extras={"clients_in_reply_mode": float(in_reply_mode)},
     )

@@ -5,9 +5,12 @@ Every system exposes the same contract to the harness:
 - ``build(sim, cluster, threads, config, value_limit)`` → a system handle,
 - ``handle.preload(pairs)``,
 - ``handle.connect(machine)`` → a client with ``get(key)``/``put(key,
-  value)`` process-body generators,
-- ``handle.server`` → the underlying server object (for stats), when one
-  exists.
+  value)`` process-body generators, ``busy_time()`` (client CPU µs) and
+  ``fetch_attempt_samples()`` (remote fetches per call),
+- ``handle.server`` → the underlying server object,
+- ``handle.server_stats`` → the server's
+  :class:`~repro.core.server.RfpServerStats`, or ``None`` for a system
+  with no RFP server (Pilaf).
 
 ``SYSTEMS`` maps the names used throughout the benches: ``jakiro``,
 ``serverreply``, ``memcached`` and ``pilaf`` — the four systems of the
@@ -21,6 +24,7 @@ from typing import Callable, Optional
 
 from repro.baselines import PilafServer, RdmaMemcachedServer, build_serverreply_kv
 from repro.core.config import RfpConfig
+from repro.core.server import RfpServerStats
 from repro.errors import BenchError
 from repro.hw.cluster import Cluster
 from repro.kv.jakiro import Jakiro
@@ -37,11 +41,7 @@ class SystemHandle:
     server: object
     preload: Callable
     connect: Callable
-
-    def rfp_server(self):
-        """The underlying RfpServer-compatible object (stats access)."""
-        inner = self.server
-        return inner.server if isinstance(inner, Jakiro) else inner
+    server_stats: Optional[RfpServerStats]
 
 
 def _build_jakiro(sim, cluster, threads, config, value_limit):
@@ -50,19 +50,23 @@ def _build_jakiro(sim, cluster, threads, config, value_limit):
     jakiro = Jakiro(
         sim, cluster, threads=threads, config=config, max_value_bytes=value_limit
     )
-    return SystemHandle("jakiro", jakiro, jakiro.preload, jakiro.connect)
+    return SystemHandle(
+        "jakiro", jakiro, jakiro.preload, jakiro.connect, jakiro.server.stats
+    )
 
 
 def _build_serverreply(sim, cluster, threads, config, value_limit):
     kv = build_serverreply_kv(
         sim, cluster, threads=threads, config=config, max_value_bytes=value_limit
     )
-    return SystemHandle("serverreply", kv, kv.preload, kv.connect)
+    return SystemHandle("serverreply", kv, kv.preload, kv.connect, kv.server.stats)
 
 
 def _build_memcached(sim, cluster, threads, config, value_limit):
     server = RdmaMemcachedServer(sim, cluster, threads=threads, config=config)
-    return SystemHandle("memcached", server, server.preload, server.connect)
+    return SystemHandle(
+        "memcached", server, server.preload, server.connect, server.stats
+    )
 
 
 def _build_pilaf(sim, cluster, threads, config, value_limit, records=None):
@@ -77,7 +81,7 @@ def _build_pilaf(sim, cluster, threads, config, value_limit, records=None):
         capacity=capacity,
         max_value_bytes=max(value_limit, 256),
     )
-    return SystemHandle("pilaf", server, server.preload, server.connect)
+    return SystemHandle("pilaf", server, server.preload, server.connect, None)
 
 
 CAPACITY_FLOOR = 1024

@@ -36,7 +36,11 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.bench.calibration import measure_inbound_iops, measure_outbound_iops
+from repro.bench.calibration import (
+    measure_bypass,
+    measure_inbound_iops,
+    measure_outbound_iops,
+)
 from repro.bench.harness import run_controlled_process_time, run_kv
 from repro.cluster import (
     ClusterConfig,
@@ -53,10 +57,9 @@ from repro.exp.spec import phases_of
 from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
 from repro.kv.store import StoreCostModel
-from repro.paradigms.server_bypass import SyntheticBypassClient
-from repro.sim.monitor import ThroughputMeter
 from repro.sim.random import seeded_rng
 from repro.sim.trace import Tracer
+from repro.workloads.loop import ClosedLoop, kv_operations
 from repro.workloads.value_sizes import FixedValues
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 from repro.workloads.zipf import ZipfSampler, pin_hot_ranks
@@ -119,30 +122,14 @@ _PARADIGM_MODES = {
 def _run_bypass_corner(ctx: ConditionContext) -> Mapping[str, object]:
     """Server-bypass with k one-sided reads per logical request."""
     condition = ctx.condition
-    amplification = int(condition.settings.get("amplification", 3))
-    sim = ctx.make_simulator()
-    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-    region = cluster.server.register_memory(1 << 20)
-    window = condition.scale.window_us
-    warmup = window * condition.scale.warmup_fraction
-    meter = ThroughputMeter(window_start=warmup, window_end=window)
-
-    def loop(sim, client):
-        while True:
-            yield from client.request()
-            meter.record(sim.now)
-
-    machines = cluster.client_machines
-    for index in range(condition.topology.client_threads):
-        client = SyntheticBypassClient(
-            sim, machines[index % len(machines)], cluster, region, amplification
-        )
-        sim.process(loop(sim, client))
-    sim.run(until=window)
-    return {
-        "mops": meter.mops(elapsed=window - warmup),
-        "operations": meter.completions,
-    }
+    run = measure_bypass(
+        int(condition.settings.get("amplification", 3)),
+        condition.topology.client_threads,
+        condition.scale.window_us,
+        condition.scale.warmup_fraction,
+        sim=ctx.make_simulator(),
+    )
+    return {"mops": run.mops, "operations": run.requests}
 
 
 def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
@@ -328,14 +315,15 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
 
     records = workload.resolve_records(scale)
     acked: Dict[bytes, int] = {}
-    meters = [
-        ThroughputMeter(
-            window_start=window * phase.start_frac,
-            window_end=window * phase.end_frac,
-            name=phase.name,
-        )
-        for phase in phases
-    ]
+    loop = ClosedLoop(
+        sim,
+        window,
+        window * scale.warmup_fraction,
+        phases=[
+            (phase.name, window * phase.start_frac, window * phase.end_frac)
+            for phase in phases
+        ],
+    )
 
     if workload.kind == "ycsb":
         generator = YcsbWorkload(
@@ -349,20 +337,8 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
         )
         service.preload(generator.dataset())
 
-        def make_loop(client, client_id: int):
-            operations = generator.operations(f"c{client_id}")
-
-            def loop(sim, client, operations):
-                for op in operations:
-                    if op.is_get:
-                        yield from client.get(op.key)
-                    else:
-                        yield from client.put(op.key, op.value)
-                    now = sim.now
-                    for meter in meters:
-                        meter.record(now)
-
-            return loop(sim, client, operations)
+        def operations_of(client, client_id: int):
+            return kv_operations(client, generator.operations(f"c{client_id}"))
 
     elif workload.kind == "ledger":
         keys, owned_writes = _ledger_workload(records, topology.client_threads)
@@ -389,30 +365,27 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
             get_keys = keys
             sampler = None
 
-        def make_loop(client, client_id: int):
-            def loop(sim, client, client_id):
-                rng = seeded_rng(client_id)
-                my_keys = owned_writes[client_id]
-                sequence = 0
-                while True:
-                    turn = sequence % put_every
-                    if turn == put_every - 1:
-                        key = my_keys[(sequence // put_every) % len(my_keys)]
-                        sequence += 1
-                        yield from client.put(key, _seq_value(sequence, value_bytes))
-                        acked[key] = max(acked.get(key, 0), sequence)
-                    else:
-                        sequence += 1
-                        if sampler is not None:
-                            key = get_keys[int(sampler.sample(rng, 1)[0])]
-                        else:
-                            key = keys[int(rng.integers(len(keys)))]
-                        yield from client.get(key)
-                    now = sim.now
-                    for meter in meters:
-                        meter.record(now)
+        def acked_put(client, key: bytes, sequence: int):
+            yield from client.put(key, _seq_value(sequence, value_bytes))
+            acked[key] = max(acked.get(key, 0), sequence)
 
-            return loop(sim, client, client_id)
+        def operations_of(client, client_id: int):
+            rng = seeded_rng(client_id)
+            my_keys = owned_writes[client_id]
+            sequence = 0
+            while True:
+                turn = sequence % put_every
+                if turn == put_every - 1:
+                    key = my_keys[(sequence // put_every) % len(my_keys)]
+                    sequence += 1
+                    yield acked_put(client, key, sequence)
+                else:
+                    sequence += 1
+                    if sampler is not None:
+                        key = get_keys[int(sampler.sample(rng, 1)[0])]
+                    else:
+                        key = keys[int(rng.integers(len(keys)))]
+                    yield client.get(key)
 
     else:
         raise ExpError(
@@ -430,7 +403,7 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
     for index in range(topology.client_threads):
         machine = cluster.machines[slot_start + index % span]
         client = service.connect(machine, name=f"c{index}")
-        sim.process(make_loop(client, index))
+        loop.spawn(operations_of(client, index))
 
     plan: Optional[FaultPlan] = None
     victim: Optional[str] = None
@@ -466,18 +439,16 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
                     controller.stop()
 
             sim.schedule(window * float(stop_frac), _stop_rebalancer)
-    sim.run(until=window)
+    loop.run()
 
     phase_mops: Dict[str, float] = {}
     phase_bounds: Dict[str, Tuple[float, float]] = {}
     metrics: Dict[str, object] = {}
-    for phase, meter in zip(phases, meters):
-        start = window * phase.start_frac
-        end = window * phase.end_frac
-        mops = meter.mops(elapsed=end - start)
-        phase_mops[phase.name] = mops
-        phase_bounds[phase.name] = (start, end)
-        metrics[f"{phase.name}_mops"] = mops
+    for index, (name, start, end) in enumerate(loop.phases):
+        mops = loop.mops(index)
+        phase_mops[name] = mops
+        phase_bounds[name] = (start, end)
+        metrics[f"{name}_mops"] = mops
     metrics["dispatched"] = sim.dispatched
 
     if audit is not None:

@@ -1,17 +1,22 @@
-"""YCSB-style workload generation (paper §4.2).
+"""Workload generation (paper §4.2) and the closed loop that drives it.
 
 The paper drives every experiment with YCSB-generated key-value
 workloads: 16-byte keys, mostly 32-byte values (Facebook-realistic),
 GET fractions of 95/50/5%, and either uniform or Zipf(0.99)-skewed key
-popularity.  This package reproduces those generators deterministically:
+popularity, issued by client threads in a closed loop.  This package
+reproduces both deterministically:
 
 - :mod:`~repro.workloads.zipf` — an exact, precomputed-CDF Zipf sampler,
 - :mod:`~repro.workloads.keys` — fixed-width key encoding,
 - :mod:`~repro.workloads.value_sizes` — value-size distributions,
-- :mod:`~repro.workloads.ycsb` — the workload spec + operation stream.
+- :mod:`~repro.workloads.ycsb` — the workload spec + operation stream,
+- :mod:`~repro.workloads.loop` — :class:`ClosedLoop`, the window,
+  warm-up, phase meters and latency samples every measurement in
+  :mod:`repro.bench` and :mod:`repro.exp` runs its clients through.
 """
 
 from repro.workloads.keys import KeySpace
+from repro.workloads.loop import ClosedLoop, kv_operations, repeat
 from repro.workloads.value_sizes import (
     FacebookValues,
     FixedValues,
@@ -22,6 +27,7 @@ from repro.workloads.ycsb import Operation, WorkloadSpec, YcsbWorkload, ycsb_pre
 from repro.workloads.zipf import ZipfSampler
 
 __all__ = [
+    "ClosedLoop",
     "FacebookValues",
     "FixedValues",
     "KeySpace",
@@ -31,5 +37,7 @@ __all__ = [
     "WorkloadSpec",
     "YcsbWorkload",
     "ZipfSampler",
+    "kv_operations",
+    "repeat",
     "ycsb_preset",
 ]

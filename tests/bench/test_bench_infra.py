@@ -1,5 +1,6 @@
 """Unit tests for the benchmark infrastructure (no heavy runs)."""
 
+import numpy as np
 import pytest
 
 from repro.bench import EXPERIMENTS, Scale, run_kv
@@ -7,7 +8,7 @@ from repro.bench.experiments import run_experiment
 from repro.bench.figures import ExperimentResult
 from repro.bench.report import format_result, format_table
 from repro.bench.systems import SYSTEMS, build_system
-from repro.errors import BenchError
+from repro.errors import BenchError, WorkloadError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.sim import Simulator
 from repro.workloads import WorkloadSpec
@@ -32,7 +33,7 @@ class TestRegistry:
             "fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
             "fig19", "fig20", "tab1", "tab3", "params",
-            "ablation-symmetric", "ext-multiserver",
+            "ablation-symmetric",
             "ext-cluster-scaling", "ext-cluster-failover",
             "ext-cluster-rejoin", "ext-cluster-rebalance",
             "ext-txn-structures",
@@ -73,13 +74,21 @@ class TestSystems:
         handle = build_system("pilaf", sim, cluster, threads=1, records=6000)
         assert handle.server.capacity == int(6000 / 0.75)
 
-    def test_rfp_server_accessor_unwraps_jakiro(self):
-        from repro.core.server import RfpServer
-
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_server_stats_and_client_readouts_are_typed(self, name):
         sim = Simulator()
         cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-        handle = build_system("jakiro", sim, cluster, threads=2)
-        assert isinstance(handle.rfp_server(), RfpServer)
+        handle = build_system(name, sim, cluster, threads=2, records=512)
+        expected = {
+            "jakiro": lambda server: server.server.stats,
+            "serverreply": lambda server: server.server.stats,
+            "memcached": lambda server: server.stats,
+            "pilaf": lambda server: None,
+        }[name](handle.server)
+        assert handle.server_stats is expected
+        client = handle.connect(cluster.client_machines[0])
+        assert client.busy_time() == 0.0
+        assert list(client.fetch_attempt_samples()) == []
 
 
 class TestHarnessValidation:
@@ -109,6 +118,24 @@ class TestHarnessValidation:
         assert result.mean_latency() > 0
         assert result.percentile_latency(99) >= result.percentile_latency(50)
 
+    def test_result_owns_its_latencies(self):
+        # The clients keep running if the caller runs the simulator on;
+        # the returned samples must be a copy, not a view that blocks
+        # (and then misses) every later sample.
+        sim = Simulator()
+        scale = Scale(window_us=300.0, records=256)
+        result = run_kv(
+            "jakiro",
+            WorkloadSpec(records=256),
+            server_threads=2,
+            client_threads=4,
+            scale=scale,
+            sim=sim,
+        )
+        before = result.latency_us.copy()
+        sim.run(until=400.0)
+        assert np.array_equal(result.latency_us, before)
+
     def test_deterministic_across_runs(self):
         scale = Scale(window_us=300.0, records=256)
 
@@ -122,6 +149,47 @@ class TestHarnessValidation:
             ).throughput_mops
 
         assert run() == run()
+
+
+class TestDegenerateWindows:
+    """A window that cannot measure anything is refused in one line,
+    instead of reporting 0 MOPS or dividing by zero."""
+
+    @staticmethod
+    def refused(call):
+        with pytest.raises(WorkloadError) as info:
+            call()
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan")])
+    def test_warmup_outside_the_window(self, fraction):
+        scale = Scale(window_us=300.0, warmup_fraction=fraction, records=256)
+        self.refused(
+            lambda: run_kv("jakiro", WorkloadSpec(records=256), scale=scale)
+        )
+
+    @pytest.mark.parametrize("window", [0.0, -300.0, float("inf"), float("nan")])
+    def test_window_not_finite_and_positive(self, window):
+        scale = Scale(window_us=window, records=256)
+        self.refused(
+            lambda: run_kv("jakiro", WorkloadSpec(records=256), scale=scale)
+        )
+
+    def test_controlled_run_without_clients(self):
+        from repro.bench import run_controlled_process_time
+
+        self.refused(
+            lambda: run_controlled_process_time("rfp", 1.0, client_threads=0)
+        )
+
+    def test_raw_verb_probes_without_threads(self):
+        from repro.bench.calibration import (
+            measure_inbound_iops,
+            measure_outbound_iops,
+        )
+
+        self.refused(lambda: measure_inbound_iops(0, window_us=300.0))
+        self.refused(lambda: measure_outbound_iops(0, window_us=300.0))
 
 
 class TestReport:

@@ -149,3 +149,24 @@ def test_cluster_atomic_regions_are_declared_and_proven():
         if info.atomic_declared:
             assert not info.is_generator, info.qualname
             assert index.yield_path(info) is None, info.qualname
+
+
+def test_one_throughput_meter_behind_every_closed_loop():
+    """Every closed-loop measurement runs through
+    ``repro.workloads.ClosedLoop``: the only ``ThroughputMeter(...)``
+    call in ``src`` and ``examples`` is the one inside it, so a new
+    hand-written loop with its own meter and warm-up fails here."""
+    calls = []
+    roots = [os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "examples")]
+    for path in iter_python_files(roots):
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None
+                )
+                if name == "ThroughputMeter":
+                    calls.append(os.path.relpath(path, REPO_ROOT))
+    assert calls == [os.path.join("src", "repro", "workloads", "loop.py")], calls
