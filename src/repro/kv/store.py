@@ -14,10 +14,11 @@ jitter that reproduces the paper's "0.2% of requests have unexpectedly
 long process time" (§3.2, Table 3).
 
 :meth:`JakiroStore.load` is the off-line bulk path (dataset preload): it
-hashes and places a whole batch of pairs with NumPy and leaves the store,
-its counters and its cost RNG exactly as one :meth:`JakiroStore.put` per
-pair would.  Buckets are allocated on first insert, so an empty store of
-millions of slots costs one ``None`` per bucket.
+hashes, places and settles a whole batch of pairs with NumPy and leaves
+the store, its counters and its cost RNG exactly as one
+:meth:`JakiroStore.put` per pair would.  Buckets are allocated on first
+insert, so an empty store of millions of slots costs one ``None`` per
+bucket.
 """
 
 from __future__ import annotations
@@ -54,14 +55,18 @@ def key_hash(key: bytes) -> int:
     return cached
 
 
-def key_hashes(keys: Sequence[bytes]) -> List[int]:
-    """:func:`key_hash` of every key.  Keys not yet memoized are hashed in
-    one vectorized :func:`crc64_many` pass and memoized, so later
-    per-operation lookups hit the memo exactly as after :func:`key_hash`."""
+def key_hashes(keys: Sequence[bytes]) -> np.ndarray:
+    """:func:`key_hash` of every key, as a ``uint64`` array in ``keys``
+    order.  Keys not yet memoized are hashed in one vectorized
+    :func:`crc64_many` pass and memoized, so later per-operation lookups
+    hit the memo exactly as after :func:`key_hash`."""
     memo = _KEY_HASHES
-    missing = [key for key in dict.fromkeys(keys) if key not in memo]
-    memo.update(zip(missing, crc64_many(missing)))
-    return [memo[key] for key in keys]
+    missing = [key for key in keys if key not in memo]
+    hashed = crc64_many(missing)
+    memo.update(zip(missing, hashed))
+    # With every key missing, ``hashed`` already lines up with ``keys``.
+    digests = hashed if len(missing) == len(keys) else map(memo.__getitem__, keys)
+    return np.fromiter(digests, dtype=np.uint64, count=len(keys))
 
 
 def partition_of(key: bytes, partitions: int) -> int:
@@ -210,7 +215,10 @@ class JakiroStore:
         for each pair in order: the same slots in the same order, the same
         ``last_used`` stamps and counters, and the same cost-RNG draws.  An
         oversize key or value loads the pairs before it and then raises
-        what :meth:`put` raises.
+        what :meth:`put` raises.  NumPy groups the batch by bucket and
+        settles each bucket that was empty and receives no key twice in
+        one slice; only the other buckets insert pair by pair.  Every key
+        is in the key-hash memo when this returns.
         """
         pairs = list(pairs)
         keys = [key for key, _ in pairs]
@@ -225,24 +233,72 @@ class JakiroStore:
                 for i, (key, value) in enumerate(pairs)
                 if len(key) > self.max_key_bytes or len(value) > self.max_value_bytes
             )
-        digests = np.array(key_hashes(keys[:count]), dtype=np.uint64)
-        partitions = np.uint64(self.partitions)
-        owners = (digests % partitions).tolist()
-        indices = (
-            digests // partitions % np.uint64(self.buckets_per_partition)
-        ).tolist()
-        buckets = self._buckets
-        insert = self._insert
-        clock = self._clock
-        for key, value, owner, index in zip(keys, values, owners, indices):
-            clock += 1
-            insert(buckets[owner], index, key, value, clock)
-        self._clock = clock
+        self._place(keys, values, key_hashes(keys[:count]))
+        self._clock += count
         self.counters.puts.increment(count)
         self.cost_model.advance(self._rng, count)
         if count < len(pairs):
             key, value = pairs[count]
             self.put(partition_of(key, self.partitions), key, value)
+
+    def _place(
+        self, keys: List[bytes], values: List[bytes], digests: np.ndarray
+    ) -> None:
+        """Insert pair ``i`` (one per digest) at clock ``self._clock + i + 1``,
+        leaving the buckets and the update and eviction counters as that
+        many ``put`` calls would.
+
+        A bucket that was empty and receives no key twice ends with its
+        last eight pairs in batch order, the earlier ones evicted oldest
+        first, so it is written as one slice.  Every other bucket replays
+        its pairs through :meth:`_insert`; buckets are independent, so
+        replaying them after the others leaves the same state.
+        """
+        count = len(digests)
+        clock = self._clock + 1
+        partitions = self.partitions
+        buckets = self._buckets
+        # ``digest % (partitions * buckets_per_partition)`` is
+        # ``index * partitions + owner``: one id per bucket.
+        modulus = np.uint64(partitions * self.buckets_per_partition)
+        flat = (digests % modulus).astype(np.int64)
+        order = np.argsort(flat, kind="stable")
+        grouped = flat[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        sizes = np.diff(starts, append=count)
+        bucket_ids = grouped[starts]
+        replay = np.array(
+            [
+                buckets[b % partitions][b // partitions] is not None
+                for b in bucket_ids.tolist()
+            ],
+            dtype=bool,
+        )
+        # A repeated key repeats its digest, but distinct keys may share
+        # one too: only an equal key is a repeat.
+        ordered = np.sort(digests)
+        shared = ordered[1:][ordered[1:] == ordered[:-1]]
+        seen = set()
+        for i in np.flatnonzero(np.isin(digests, shared)).tolist():
+            if keys[i] in seen:
+                replay[np.searchsorted(bucket_ids, flat[i])] = True
+            seen.add(keys[i])
+
+        in_replay = np.repeat(replay, sizes)
+        from_end = np.repeat(starts + sizes, sizes) - np.arange(count)
+        kept = order[(from_end <= SLOTS_PER_BUCKET) & ~in_replay].tolist()
+        slots = [_Slot(keys[i], values[i], clock + i) for i in kept]
+        settled = ~replay
+        self.counters.evictions.increment(int(sizes[settled].sum()) - len(kept))
+        ends = np.cumsum(np.minimum(sizes[settled], SLOTS_PER_BUCKET)).tolist()
+        for b, start, end in zip(bucket_ids[settled].tolist(), [0] + ends, ends):
+            buckets[b % partitions][b // partitions] = slots[start:end]
+
+        insert = self._insert
+        replayed = np.sort(order[in_replay])
+        for i, b in zip(replayed.tolist(), flat[replayed].tolist()):
+            partition = buckets[b % partitions]
+            insert(partition, b // partitions, keys[i], values[i], clock + i)
 
     def peek(self, key: bytes) -> Optional[bytes]:
         """The value resident for ``key``, or ``None``.  A pure readout for

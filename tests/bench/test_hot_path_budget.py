@@ -3,7 +3,7 @@
 Tier-1 never asserts a wall-clock number, but two counts stand in for
 the simulator's per-operation cost and are deterministic for a seeded
 run: the events the engine dispatches per operation, and the Python
-function calls ``cProfile`` sees per operation.  Two small closed-loop
+function calls ``cProfile`` sees per operation.  Three small closed-loop
 workloads pin the first exactly and hold the second to a budget, so a
 change that adds work to the verb, fetch, reply, server or engine hot
 path fails here without timing anything:
@@ -17,9 +17,17 @@ path fails here without timing anything:
   of ``cluster-failover``): every operation goes through the router's
   per-shard lock and its deadline-guarded attempts.
 
+A fourth loop holds set-up to the same kind of budget: a dataset
+preload of distinct keys into an empty store about 2% too small for
+them (the ``kv-write-zipf`` regime), so thousands of pairs are evicted
+while loading.  Every bucket settles in NumPy, so the LRU insert helper
+never runs, and the Python calls per loaded pair stay about one: the
+surviving slots' constructors.
+
 When a change cuts the hot path further, lower ``CALLS_PER_OP``,
-``CALLS_PER_ECHO`` or ``CALLS_PER_ROUTED_OP``; when a change adds calls
-on purpose, raise the budget in the same change and say why.
+``CALLS_PER_ECHO``, ``CALLS_PER_ROUTED_OP`` or ``CALLS_PER_LOADED_PAIR``;
+when a change adds calls on purpose, raise the budget in the same change
+and say why.
 """
 
 import cProfile
@@ -29,7 +37,7 @@ from repro.cluster import ClusterConfig, RfpCluster
 from repro.core import Mode, RfpClient, RfpServer
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro
-from repro.kv.store import StoreCostModel
+from repro.kv.store import JakiroStore, StoreCostModel
 from repro.sim import Simulator
 
 KEYS = 2048
@@ -56,6 +64,13 @@ EXPECTED_ROUTED_OPS = 3_031
 EXPECTED_ROUTED_DISPATCHED = 91_158
 #: Python calls per routed operation measured when the budget was set.
 CALLS_PER_ROUTED_OP = 330.0
+
+#: Distinct pairs preloaded into 6 partitions of ``PRELOAD_BUCKETS``
+#: buckets: 19,584 slots, 2% fewer than the pairs.
+PRELOAD_PAIRS = 20_000
+PRELOAD_BUCKETS = 408
+#: Python calls per loaded pair measured when the budget was set.
+CALLS_PER_LOADED_PAIR = 0.862
 
 #: Headroom before a budget trips.
 BUDGET = 1.05
@@ -166,11 +181,29 @@ def run_routed():
     return measure(sim, done)
 
 
+def run_preload():
+    """Load distinct pairs into an empty, slightly undersized store;
+    returns (store, profiled calls, ``_insert`` calls)."""
+    # A first load takes NumPy's one-time imports and caches outside the
+    # profile.
+    JakiroStore(1, buckets_per_partition=1).load([(b"warm", VALUE)] * 2)
+    pairs = [(b"preload-key-%06d" % index, VALUE) for index in range(PRELOAD_PAIRS)]
+    store = JakiroStore(6, buckets_per_partition=PRELOAD_BUCKETS)
+    profile = cProfile.Profile()
+    profile.enable()
+    store.load(pairs)
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    calls = sum(row[1] for row in stats.values())
+    inserts = sum(row[1] for (_, _, name), row in stats.items() if name == "_insert")
+    return store, calls, inserts
+
+
 def check_budget(calls, ops, budget, what):
     calls_per_op = calls / ops
     assert calls_per_op <= budget * BUDGET, (
-        f"{calls_per_op:.1f} Python calls per {what}, budget "
-        f"{budget * BUDGET:.1f} ({budget} + {BUDGET - 1:.0%})"
+        f"{calls_per_op:.4g} Python calls per {what}, budget "
+        f"{budget * BUDGET:.4g} ({budget} + {BUDGET - 1:.0%})"
     )
 
 
@@ -191,3 +224,10 @@ def test_routed_dispatches_pinned_and_calls_within_budget():
     ops, dispatched, calls = run_routed()
     assert (ops, dispatched) == (EXPECTED_ROUTED_OPS, EXPECTED_ROUTED_DISPATCHED)
     check_budget(calls, ops, CALLS_PER_ROUTED_OP, "routed operation")
+
+
+def test_preload_settles_without_insert_and_calls_within_budget():
+    store, calls, inserts = run_preload()
+    assert store.counters.evictions.value > 2_000
+    assert inserts == 0
+    check_budget(calls, PRELOAD_PAIRS, CALLS_PER_LOADED_PAIR, "loaded pair")

@@ -3,7 +3,10 @@
 :meth:`Jakiro.preload` and :meth:`RfpCluster.preload` load through
 :meth:`JakiroStore.load`; these tests pin that a run after a bulk preload
 is identical — every latency sample and every engine dispatch — to a run
-after the same pairs were put one at a time.
+after the same pairs were put one at a time.  Two regimes: a store with
+almost eight slots per pair, where preload evictions are rare, and the
+``kv-write-zipf`` one, a store slightly smaller than its dataset, where
+thousands of pairs are evicted while loading.
 """
 
 import pytest
@@ -12,9 +15,19 @@ from repro.cluster import ClusterConfig, RfpCluster
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv import Jakiro, partition_of
 from repro.sim import Simulator
-from repro.workloads import WorkloadSpec, YcsbWorkload
+from repro.workloads import UniformValues, WorkloadSpec, YcsbWorkload
 
 SPEC = WorkloadSpec(records=100_000, seed=7)
+#: Half PUTs of 32-2,048 B values on Zipf keys; 25,000 pairs against
+#: 6 partitions of ``EVICTING_BUCKETS`` buckets, 24,576 slots.
+EVICTING_SPEC = WorkloadSpec(
+    records=25_000,
+    value_sizes=UniformValues(32, 2048),
+    get_fraction=0.5,
+    distribution="zipfian",
+    seed=7,
+)
+EVICTING_BUCKETS = 512
 WINDOW_US = 300.0
 CLIENTS = 8
 
@@ -45,12 +58,14 @@ def _store_state(store):
     )
 
 
-def _run_jakiro(dataset, bulk):
+def _run_jakiro(dataset, bulk, spec=SPEC, buckets_per_partition=16384):
     # A fresh workload per run: its operation streams are stateful.
-    workload = YcsbWorkload(SPEC)
+    workload = YcsbWorkload(spec)
     sim = Simulator()
     cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-    jakiro = Jakiro(sim, cluster, threads=6, seed=11)
+    jakiro = Jakiro(
+        sim, cluster, threads=6, buckets_per_partition=buckets_per_partition, seed=11
+    )
     if bulk:
         jakiro.preload(iter(dataset))
     else:
@@ -86,6 +101,18 @@ def test_jakiro_preload_matches_put_loop(dataset):
     assert samples == looped[1]
     assert dispatched == looped[2]
     assert final == looped[3]
+
+
+def test_jakiro_preload_matches_put_loop_when_evicting():
+    dataset = list(YcsbWorkload(EVICTING_SPEC).dataset())
+    runs = [
+        _run_jakiro(dataset, bulk, EVICTING_SPEC, EVICTING_BUCKETS)
+        for bulk in (True, False)
+    ]
+    loaded, samples, _, _ = runs[0]
+    assert loaded[2]["evictions"] > 2_000
+    assert sum(map(len, samples)) > 100
+    assert runs[0] == runs[1]
 
 
 def _cluster(bulk, pairs):

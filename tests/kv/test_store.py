@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.kv.store as store_module
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.kv import JakiroStore, StoreCostModel, partition_of
 from repro.kv.store import SLOTS_PER_BUCKET, key_hash
@@ -186,6 +187,41 @@ class TestLazyBuckets:
             placed.setdefault((partition, bucket), []).append((key, value))
         expected = [pair for slot in sorted(placed) for pair in placed[slot]]
         assert list(store.items()) == expected
+
+
+@pytest.fixture
+def colliding_keys():
+    """Two distinct keys memoized under one digest, as a CRC-64 collision
+    would hash them; the memo is restored afterwards."""
+    memo = store_module._KEY_HASHES
+    keys = (b"collide-a", b"collide-b")
+    saved = {key: memo.pop(key) for key in keys if key in memo}
+    memo[keys[1]] = key_hash(keys[0])
+    yield keys
+    for key in keys:
+        memo.pop(key, None)
+    memo.update(saved)
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("repeat", [True, False], ids=["repeat", "no-repeat"])
+    def test_distinct_keys_sharing_a_digest_both_stay(self, colliding_keys, repeat):
+        """Only an equal key is a repeat: a load that matched keys by
+        digest would keep one of the two."""
+        first, second = colliding_keys
+        pairs = [(first, b"1"), (b"other", b"x"), (second, b"2")]
+        if repeat:
+            pairs.append((first, b"3"))
+        looped, loaded = make_store(), make_store()
+        for key, value in pairs:
+            looped.put(partition_of(key, 2), key, value)
+        loaded.load(pairs)
+        assert loaded.peek(first) == (b"3" if repeat else b"1")
+        assert loaded.peek(second) == b"2"
+        assert loaded._buckets == looped._buckets
+        assert loaded._clock == looped._clock
+        assert loaded.counters.updates.value == looped.counters.updates.value
+        assert loaded.counters.updates.value == int(repeat)
 
 
 class TestCostModel:

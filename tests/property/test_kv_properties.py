@@ -143,6 +143,49 @@ def _store_state(store):
 #: buckets; lengths vary so the vectorized hash groups several lengths.
 small_keys = st.lists(st.sampled_from(b"abc"), max_size=3).map(bytes)
 small_values = st.binary(max_size=8)
+#: 340 keys of one to four letters: enough for batches of 120 distinct
+#: keys that still share keys, and so buckets, with the warm-up.
+distinct_keys = st.lists(st.sampled_from(b"abcd"), min_size=1, max_size=4).map(bytes)
+jitters = st.sampled_from([0.0, 0.002, 0.3, 1.0])
+seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
+
+
+def _assert_load_equals_put_loop(
+    partitions, buckets, jitter, seed, warmup, pairs, max_key_bytes
+):
+    def build():
+        store = JakiroStore(
+            partitions,
+            buckets_per_partition=buckets,
+            max_key_bytes=max_key_bytes,
+            max_value_bytes=6,
+            cost_model=StoreCostModel(jitter_probability=jitter),
+            rng=None if seed is None else seeded_rng(seed),
+        )
+        # Pre-populate, with GETs interleaved to scramble recency.
+        for is_get, key, value in warmup:
+            part = partition_of(key, partitions)
+            if is_get:
+                store.get(part, key)
+            elif len(key) <= max_key_bytes and len(value) <= 6:
+                store.put(part, key, value)
+        return store
+
+    looped, loaded = build(), build()
+    looped_error = loaded_error = None
+    try:
+        for key, value in pairs:
+            looped.put(partition_of(key, partitions), key, value)
+    except KVError as error:
+        looped_error = (type(error), str(error))
+    try:
+        loaded.load(iter(pairs))
+    except KVError as error:
+        loaded_error = (type(error), str(error))
+    assert loaded_error == looped_error
+    assert _store_state(loaded) == _store_state(looped)
+    assert list(loaded.items()) == list(looped.items())
+    assert loaded.bucket_sizes() == looped.bucket_sizes()
 
 
 class TestBulkLoadParity:
@@ -152,8 +195,8 @@ class TestBulkLoadParity:
     @given(
         partitions=st.integers(1, 3),
         buckets=st.integers(1, 4),
-        jitter=st.sampled_from([0.0, 0.002, 0.3, 1.0]),
-        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        jitter=jitters,
+        seed=seeds,
         warmup=st.lists(
             st.tuples(st.booleans(), small_keys, small_values), max_size=40
         ),
@@ -162,39 +205,34 @@ class TestBulkLoadParity:
     def test_load_equals_put_loop(
         self, partitions, buckets, jitter, seed, warmup, pairs
     ):
-        def build():
-            store = JakiroStore(
-                partitions,
-                buckets_per_partition=buckets,
-                max_key_bytes=2,
-                max_value_bytes=6,
-                cost_model=StoreCostModel(jitter_probability=jitter),
-                rng=None if seed is None else seeded_rng(seed),
-            )
-            # Pre-populate, with GETs interleaved to scramble recency.
-            for is_get, key, value in warmup:
-                part = partition_of(key, partitions)
-                if is_get:
-                    store.get(part, key)
-                elif len(key) <= 2 and len(value) <= 6:
-                    store.put(part, key, value)
-            return store
+        _assert_load_equals_put_loop(
+            partitions, buckets, jitter, seed, warmup, pairs, max_key_bytes=2
+        )
 
-        looped, loaded = build(), build()
-        looped_error = loaded_error = None
-        try:
-            for key, value in pairs:
-                looped.put(partition_of(key, partitions), key, value)
-        except KVError as error:
-            looped_error = (type(error), str(error))
-        try:
-            loaded.load(iter(pairs))
-        except KVError as error:
-            loaded_error = (type(error), str(error))
-        assert loaded_error == looped_error
-        assert _store_state(loaded) == _store_state(looped)
-        assert list(loaded.items()) == list(looped.items())
-        assert loaded.bucket_sizes() == looped.bucket_sizes()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        partitions=st.integers(1, 3),
+        buckets=st.integers(1, 4),
+        jitter=jitters,
+        seed=seeds,
+        warmup=st.lists(
+            st.tuples(st.booleans(), distinct_keys, small_values), max_size=40
+        ),
+        pairs=st.lists(
+            st.tuples(distinct_keys, st.binary(max_size=6)),
+            max_size=120,
+            unique_by=lambda pair: pair[0],
+        ),
+    )
+    def test_load_of_distinct_keys_equals_put_loop(
+        self, partitions, buckets, jitter, seed, warmup, pairs
+    ):
+        """Distinct keys overfill buckets past eight, so an empty bucket
+        settles in one slice: its last eight pairs, stamped as the
+        ``put`` loop stamps them.  A pre-populated bucket replays."""
+        _assert_load_equals_put_loop(
+            partitions, buckets, jitter, seed, warmup, pairs, max_key_bytes=4
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
