@@ -52,6 +52,7 @@ race).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -306,18 +307,25 @@ class RangeMigration:
     def _plan(self) -> Dict[str, List[bytes]]:
         """Donor -> keys to pull: every key this migration wants,
         donated by the key's *current* primary (exactly one donor per
-        key, no duplicate transfers)."""
+        key, no duplicate transfers), in the donor store's order.
+
+        Each donor's keys are placed in whole-batch ring passes; the
+        filter is :meth:`_wants`, applied to the batch."""
         service = self.service
+        ring = service.ring
+        factor = service.config.replication_factor
         plan: Dict[str, List[bytes]] = {}
-        for donor in service.ring.nodes:
+        for donor in ring.nodes:
             if donor == self.shard:
                 continue  # nothing to pull from ourselves
-            store = service.shards[donor].jakiro.store
-            for key, _value in store.items():
-                if service.ring.lookup(key) != donor:
-                    continue  # a replica copy; the primary donates
-                if self._wants(key):
-                    plan.setdefault(donor, []).append(key)
+            keys = [key for key, _value in service.shards[donor].jakiro.store.items()]
+            # A replica copy is skipped; the primary donates.
+            wanted = ring.place_many(keys, 1)[donor]
+            wanted &= self.target_ring.place_many(keys, factor)[self.shard]
+            if self.shard in ring:
+                wanted &= ~ring.place_many(keys, factor)[self.shard]
+            if wanted.any():
+                plan[donor] = list(compress(keys, wanted.tolist()))
         return plan
 
     @property

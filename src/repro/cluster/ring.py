@@ -28,6 +28,9 @@ Replica placement follows the textbook rule: the replicas of a key are
 the first ``count`` *distinct* shards clockwise of its hash.  That makes
 failover a pure ring operation — removing a dead shard re-routes each of
 its ranges to exactly the shard that already held the range's replica.
+Routing resolves one key at a time (:meth:`lookup_replicas`, memoized);
+whole batches — a dataset preload, a migration plan — are placed in one
+NumPy pass by :meth:`place_many`, which applies the same rule.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import ClusterError
-from repro.kv.store import key_hash
+from repro.kv.store import key_hash, key_hashes
 
 __all__ = ["HashRing"]
 
@@ -187,22 +192,59 @@ class HashRing:
         cached = self._lookup_cache.get((key, count))
         if cached is not None:
             return list(cached)
+        clamped = self._clamped(count)
+        index = bisect_right(self._tokens, (key_hash(key),))
+        replicas = self._replicas_from(index, clamped)
+        self._lookup_cache[(key, count)] = replicas
+        return list(replicas)
+
+    def place_many(self, keys: Sequence[bytes], count: int) -> Dict[str, np.ndarray]:
+        """Every member's share of a batch: ``placed[node][i]`` is True
+        when ``node`` is in ``lookup_replicas(keys[i], count)``.
+
+        One pass for the whole batch.  The keys are hashed by
+        :func:`~repro.kv.store.key_hashes` (which memoizes them); each
+        finds its first token clockwise with ``searchsorted`` — a digest
+        equal to a token starts at that token, as in
+        :meth:`lookup_replicas`, and a digest past the largest token wraps
+        to the smallest — and each token's replica set is walked once.
+        The lookup memo is left as it was: routing fills it on demand.
+        """
+        clamped = self._clamped(count)
+        tokens = self._tokens
+        nodes = sorted(self._nodes)
+        column = {node: row for row, node in enumerate(nodes)}
+        # member[node, start]: ``node`` replicates the keys that start at
+        # token ``start``.
+        member = np.zeros((len(nodes), len(tokens)), dtype=bool)
+        for start in range(len(tokens)):
+            for node in self._replicas_from(start, clamped):
+                member[column[node], start] = True
+        points = np.array([token for token, _ in tokens], dtype=np.uint64)
+        starts = np.searchsorted(points, key_hashes(keys), side="left") % len(tokens)
+        return dict(zip(nodes, member[:, starts]))
+
+    def _clamped(self, count: int) -> int:
+        """``count`` clamped to the ring size, after checking the ring can
+        place anything."""
         if not self._tokens:
             raise ClusterError("lookup on an empty ring")
         if count < 1:
             raise ClusterError(f"replica count must be >= 1, got {count}")
-        clamped = min(count, len(self._nodes))
+        return min(count, len(self._nodes))
+
+    def _replicas_from(self, index: int, count: int) -> List[str]:
+        """The first ``count`` distinct shards clockwise from token
+        ``index`` (which may be one past the last token)."""
         tokens = self._tokens
-        index = bisect_right(tokens, (key_hash(key),))
         replicas: List[str] = []
         for step in range(len(tokens)):
             node = tokens[(index + step) % len(tokens)][1]
             if node not in replicas:
                 replicas.append(node)
-                if len(replicas) == clamped:
+                if len(replicas) == count:
                     break
-        self._lookup_cache[(key, count)] = replicas
-        return list(replicas)
+        return replicas
 
     def token_of(self, key: bytes) -> int:
         """The token owning ``key`` — the first token clockwise of its
@@ -230,10 +272,10 @@ class HashRing:
 
     def load_counts(self, keys: Sequence[bytes]) -> Dict[str, int]:
         """Keys owned per shard — the balance metric the tests bound."""
-        counts: Dict[str, int] = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.lookup(key)] += 1
-        return counts
+        return {
+            node: int(np.count_nonzero(owned))
+            for node, owned in self.place_many(keys, 1).items()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashRing({len(self._nodes)} nodes x {self.vnodes} vnodes)"

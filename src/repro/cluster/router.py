@@ -24,6 +24,7 @@ what makes failover lose no acknowledged write.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.failover import FailoverCoordinator
@@ -214,16 +215,18 @@ class RfpCluster:
     def preload(self, pairs) -> None:
         """Load pairs into every replica (off-line, before the clock runs).
 
-        Shards are independent stores, so each gets its pairs in one bulk
-        load, in the order given."""
-        per_shard: Dict[str, List[Tuple[bytes, bytes]]] = {
-            shard_name: [] for shard_name in self.shards
-        }
-        for key, value in pairs:
-            for shard_name in self.replicas_for(key):
-                per_shard[shard_name].append((key, value))
-        for shard_name, shard_pairs in per_shard.items():
-            self.shards[shard_name].jakiro.preload(shard_pairs)
+        The ring places the whole batch in one pass; shards are
+        independent stores, so each gets its pairs in one bulk load, in
+        the order given."""
+        pairs = list(pairs)
+        placed = self.ring.place_many(
+            [key for key, _ in pairs], self.config.replication_factor
+        )
+        for shard_name, handle in self.shards.items():
+            if shard_name in placed:
+                handle.jakiro.preload(
+                    list(compress(pairs, placed[shard_name].tolist()))
+                )
 
     def peek(self, shard_name: str, key: bytes) -> Optional[bytes]:
         """Direct store readout (no simulated time) — verification only.

@@ -51,14 +51,16 @@ def crc64_many(keys: Sequence[bytes]) -> List[int]:
     """``[crc64(key) for key in keys]``, vectorized.
 
     Keys of one length form a byte matrix whose CRCs advance together,
-    one column (byte position) per table step.
+    one column (byte position) per table step.  The lengths are grouped
+    with ``bincount``: ``np.unique`` imports ``numpy.ma`` on first use,
+    which the first bulk load of every process would pay for.
     """
     lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
     starts = np.cumsum(lengths) - lengths
     stream = np.frombuffer(b"".join(keys), dtype=np.uint8)
     digests = np.full(len(keys), _MASK, dtype=np.uint64)
     eight = np.uint64(8)
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == length)
         data = stream[starts[rows, None] + np.arange(length)]
         crc = digests[rows]

@@ -62,10 +62,13 @@ def key_hashes(keys: Sequence[bytes]) -> np.ndarray:
     hit the memo exactly as after :func:`key_hash`."""
     memo = _KEY_HASHES
     missing = [key for key in keys if key not in memo]
-    hashed = crc64_many(missing)
-    memo.update(zip(missing, hashed))
-    # With every key missing, ``hashed`` already lines up with ``keys``.
-    digests = hashed if len(missing) == len(keys) else map(memo.__getitem__, keys)
+    digests = map(memo.__getitem__, keys)
+    if missing:
+        hashed = crc64_many(missing)
+        memo.update(zip(missing, hashed))
+        # With every key missing, ``hashed`` already lines up with ``keys``.
+        if len(missing) == len(keys):
+            digests = hashed
     return np.fromiter(digests, dtype=np.uint64, count=len(keys))
 
 

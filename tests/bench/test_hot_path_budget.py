@@ -24,10 +24,17 @@ while loading.  Every bucket settles in NumPy, so the LRU insert helper
 never runs, and the Python calls per loaded pair stay about one: the
 surviving slots' constructors.
 
+A fifth loop preloads distinct pairs into a three-shard RF=2 cluster (the
+set-up of ``cluster-failover``).  The ring places the whole batch in one
+pass: the scalar CRC-64 runs only for the ring's vnode tokens, when the
+ring is built, and never for a pair, and the per-key replica lookup never
+runs.  The Python calls per preloaded pair stay about two: one slot
+constructor on each replica.
+
 When a change cuts the hot path further, lower ``CALLS_PER_OP``,
-``CALLS_PER_ECHO``, ``CALLS_PER_ROUTED_OP`` or ``CALLS_PER_LOADED_PAIR``;
-when a change adds calls on purpose, raise the budget in the same change
-and say why.
+``CALLS_PER_ECHO``, ``CALLS_PER_ROUTED_OP``, ``CALLS_PER_LOADED_PAIR`` or
+``CALLS_PER_CLUSTER_PAIR``; when a change adds calls on purpose, raise the
+budget in the same change and say why.
 """
 
 import cProfile
@@ -71,6 +78,12 @@ PRELOAD_PAIRS = 20_000
 PRELOAD_BUCKETS = 408
 #: Python calls per loaded pair measured when the budget was set.
 CALLS_PER_LOADED_PAIR = 0.862
+
+#: Distinct pairs preloaded into a three-shard RF=2 cluster.
+CLUSTER_PRELOAD_PAIRS = 8_192
+#: Python calls per pair preloaded into the cluster measured when the
+#: budget was set.
+CALLS_PER_CLUSTER_PAIR = 2.538
 
 #: Headroom before a budget trips.
 BUDGET = 1.05
@@ -199,6 +212,50 @@ def run_preload():
     return store, calls, inserts
 
 
+def run_cluster_preload():
+    """Preload distinct pairs into a three-shard RF=2 cluster; returns
+    (service, scalar ``crc64`` calls while its ring was built, then, for
+    the preload: profiled calls, scalar ``crc64`` calls and
+    ``lookup_replicas`` calls)."""
+    # A first load takes NumPy's one-time imports and caches outside the
+    # profile.
+    JakiroStore(1, buckets_per_partition=1).load([(b"warm", VALUE)] * 2)
+    sim = Simulator()
+    hw = build_cluster(sim, CLUSTER_EUROSYS17)
+    profile = cProfile.Profile()
+    profile.enable()
+    service = RfpCluster(
+        sim,
+        hw,
+        shards=3,
+        cluster_config=ClusterConfig(replication_factor=2),
+        name="budget-preload",
+    )
+    profile.disable()
+    built = count_calls(pstats.Stats(profile).stats, "crc64")
+    pairs = [
+        (b"cluster-preload-%06d" % index, VALUE)
+        for index in range(CLUSTER_PRELOAD_PAIRS)
+    ]
+    profile = cProfile.Profile()
+    profile.enable()
+    service.preload(pairs)
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    calls = sum(row[1] for row in stats.values())
+    return (
+        service,
+        built,
+        calls,
+        count_calls(stats, "crc64"),
+        count_calls(stats, "lookup_replicas"),
+    )
+
+
+def count_calls(stats, function):
+    return sum(row[1] for (_, _, name), row in stats.items() if name == function)
+
+
 def check_budget(calls, ops, budget, what):
     calls_per_op = calls / ops
     assert calls_per_op <= budget * BUDGET, (
@@ -231,3 +288,14 @@ def test_preload_settles_without_insert_and_calls_within_budget():
     assert store.counters.evictions.value > 2_000
     assert inserts == 0
     check_budget(calls, PRELOAD_PAIRS, CALLS_PER_LOADED_PAIR, "loaded pair")
+
+
+def test_cluster_preload_places_in_one_pass_and_calls_within_budget():
+    service, built, calls, hashed, lookups = run_cluster_preload()
+    assert built <= 3 * service.config.vnodes
+    assert (hashed, lookups) == (0, 0)
+    assert all(
+        handle.jakiro.store.size() > CLUSTER_PRELOAD_PAIRS / 2
+        for handle in service.shards.values()
+    )
+    check_budget(calls, CLUSTER_PRELOAD_PAIRS, CALLS_PER_CLUSTER_PAIR, "preloaded pair")

@@ -6,7 +6,9 @@ suite covers the second client: :class:`VnodeMigration` moving tokens
 between *healthy* shards under live traffic, the
 :class:`RebalanceController` that decides which tokens to move, and the
 planted-bug fixture proving the rebalance trace invariants catch a
-cutover that would leave keys unroutable mid-move.
+cutover that would leave keys unroutable mid-move.  It also holds the
+engine's plan, placed in whole-batch ring passes, to the per-key loop it
+replaced, for both clients.
 """
 
 import pytest
@@ -22,12 +24,15 @@ from repro.cluster.migration import (
     RebalanceController,
 )
 from repro.core.config import RfpConfig
+from repro.cluster.membership import ShardStatus
 from repro.errors import ClusterError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv.store import StoreCostModel
 from repro.sim import Simulator, Tracer
 
 KEYS = [f"key{i:04d}".encode() for i in range(60)]
+#: Preloaded for the plan checks, so every donor donates hundreds of keys.
+PLAN_KEYS = [b"plan-key-%05d" % i for i in range(3000)]
 
 
 def make_service(attach_checker=None, shards=3, replication_factor=1):
@@ -266,6 +271,57 @@ class TestRebalanceController:
         moved = sum(len(m.tokens) for m in service.migrations)
         assert moved >= 1
         assert all(m.shard != hot for m in service.migrations)
+
+
+def per_key_plan(migration):
+    """The per-key loop :meth:`RangeMigration._plan` replaced, kept as
+    its reference: each donor's resident keys in store order, kept when
+    the donor is the key's current primary and the migration wants it."""
+    service = migration.service
+    plan = {}
+    for donor in service.ring.nodes:
+        if donor == migration.shard:
+            continue
+        store = service.shards[donor].jakiro.store
+        for key, _value in store.items():
+            if service.ring.lookup(key) != donor:
+                continue
+            if migration._wants(key):
+                plan.setdefault(donor, []).append(key)
+    return plan
+
+
+class TestPlan:
+    """The batch plan names the per-key loop's donors, in its order, and
+    each donor's keys, in its order."""
+
+    def test_recovery_plan_matches_per_key_loop(self, cluster_invariants):
+        sim, _, _, service = make_service(cluster_invariants, replication_factor=2)
+        service.preload([(key, b"p" * 16) for key in PLAN_KEYS])
+        service.kill("shard1")
+        sim.run(until=300.0)
+        assert service.membership.status("shard1") is ShardStatus.DEAD
+        recovery = service.repair("shard1")
+        plan = recovery._plan()
+        assert list(plan.items()) == list(per_key_plan(recovery).items())
+        assert list(plan) == ["shard0", "shard2"]
+        assert sum(map(len, plan.values())) > 1000
+
+    def test_vnode_move_plan_matches_per_key_loop(self, cluster_invariants):
+        _, _, _, service = make_service(cluster_invariants, replication_factor=2)
+        service.preload([(key, b"p" * 16) for key in PLAN_KEYS])
+        ring = service.ring
+        recipient = "shard2"
+        tokens = ring.tokens_of("shard0")[::8] + ring.tokens_of("shard1")[::8]
+        moved = [key for key in PLAN_KEYS if ring.token_of(key) in tokens]
+        # Some moved keys already have the recipient as their backup:
+        # the plan must leave those out.
+        assert any(recipient in ring.lookup_replicas(key, 2) for key in moved)
+        migration = service.move_vnodes(tokens, recipient)
+        plan = migration._plan()
+        assert list(plan.items()) == list(per_key_plan(migration).items())
+        assert list(plan) == ["shard0", "shard1"]
+        assert 0 < sum(map(len, plan.values())) < len(moved)
 
 
 class TestPlantedBug:

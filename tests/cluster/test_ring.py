@@ -91,3 +91,26 @@ class TestMembershipChanges:
         counts = ring.load_counts(keys(300))
         assert sum(counts.values()) == 300
         assert set(counts) == {"a", "b", "c"}
+
+
+class TestPlaceMany:
+    def test_empty_ring_and_bad_count_rejected_like_lookup(self):
+        with pytest.raises(ClusterError, match="empty ring"):
+            HashRing().place_many([b"k"], 1)
+        ring = HashRing(["a", "b"], vnodes=8)
+        for count in (0, -1):
+            with pytest.raises(ClusterError, match="replica count must be >= 1"):
+                ring.place_many([b"k"], count)
+
+    def test_empty_batch_places_nothing(self):
+        placed = HashRing(["b", "a"], vnodes=8).place_many([], 2)
+        assert {node: mask.tolist() for node, mask in placed.items()} == {
+            "a": [],
+            "b": [],
+        }
+
+    def test_lookup_memo_left_cold(self):
+        """Routing fills the memo on demand; a batch placement does not."""
+        ring = HashRing(["a", "b", "c"], vnodes=16)
+        ring.place_many(keys(50), 2)
+        assert not ring._lookup_cache

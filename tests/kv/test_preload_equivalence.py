@@ -115,12 +115,18 @@ def test_jakiro_preload_matches_put_loop_when_evicting():
     assert runs[0] == runs[1]
 
 
-def _cluster(bulk, pairs):
+def _cluster(bulk, pairs, factor, move):
+    """Per-shard store states after loading ``pairs`` into three shards
+    with ``factor`` replicas; with ``move``, every fourth vnode of shard0
+    belongs to shard2 before the load."""
     sim = Simulator()
     cluster = build_cluster(sim, CLUSTER_EUROSYS17)
     service = RfpCluster(
-        sim, cluster, shards=3, cluster_config=ClusterConfig(replication_factor=2)
+        sim, cluster, shards=3, cluster_config=ClusterConfig(replication_factor=factor)
     )
+    if move:
+        for token in service.ring.tokens_of("shard0")[::4]:
+            service.ring.move_vnode(token, "shard2")
     if bulk:
         service.preload(iter(pairs))
     else:
@@ -137,6 +143,9 @@ def _cluster(bulk, pairs):
 def test_cluster_preload_matches_per_pair_placement(dataset):
     # Repeat some keys with new values so per-shard order matters.
     pairs = dataset[:6000] + [(key, b"again") for key, _ in dataset[:6000:7]]
-    bulk = _cluster(True, pairs)
-    assert bulk == _cluster(False, pairs)
-    assert all(state[2]["puts"] > 0 for state in bulk.values())
+    for factor in (1, 2, 3):
+        for move in (False, True):
+            bulk = _cluster(True, pairs, factor, move)
+            assert bulk == _cluster(False, pairs, factor, move), (factor, move)
+            puts = [state[2]["puts"] for state in bulk.values()]
+            assert all(puts) and sum(puts) == factor * len(pairs)

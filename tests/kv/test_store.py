@@ -1,8 +1,13 @@
 """Unit tests for the Jakiro bucket/slot store."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 import repro.kv.store as store_module
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.kv import JakiroStore, StoreCostModel, partition_of
@@ -222,6 +227,30 @@ class TestBulkLoad:
         assert loaded._clock == looped._clock
         assert loaded.counters.updates.value == looped.counters.updates.value
         assert loaded.counters.updates.value == int(repeat)
+
+
+    def test_load_imports_no_masked_arrays(self):
+        """``np.unique`` imports ``numpy.ma`` on first use (about 14 ms), a
+        cost a timed preload would pay; the load path groups without it,
+        for fresh keys and for keys already in the memo."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import sys\n"
+            "from repro.kv.store import JakiroStore\n"
+            "pairs = [(b'key-%d' % i * (1 + i % 3), b'v') for i in range(40)]\n"
+            "for _ in range(2):\n"
+            "    JakiroStore(2, buckets_per_partition=4).load(pairs)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.split() == ["False"]
 
 
 class TestCostModel:

@@ -1,14 +1,16 @@
 """Property-based tests for the consistent-hash ring.
 
-Three families of properties back the cluster router's routing claims:
+Four families of properties back the cluster router's routing claims:
 balance (no node starves with enough vnodes), remap minimality (a
-membership change only moves the keys it must), and determinism (a fixed
-seed yields a fixed routing decision sequence).
+membership change only moves the keys it must), determinism (a fixed
+seed yields a fixed routing decision sequence), and parity (the
+whole-batch placement agrees with the per-key lookup).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kv.store as store_module
 from repro.cluster import HashRing
 from repro.sim import seeded_rng
 
@@ -96,3 +98,55 @@ class TestDeterminism:
             assert ring.lookup_replicas(key, factor) == ring.lookup_replicas(
                 key, factor
             )
+
+
+class TestBulkPlacementParity:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=16),
+        seeds,
+        st.data(),
+    )
+    def test_place_many_matches_lookup_replicas(self, count, vnodes, seed, data):
+        """``place_many`` puts each key on exactly the shards
+        ``lookup_replicas`` names, on rings with moved vnodes, for every
+        replica count up to one past the ring size — including keys whose
+        digest equals a token and keys past the largest token."""
+        ring = HashRing(nodes(count), vnodes=vnodes)
+        tokens = sorted(token for node in ring.nodes for token in ring.tokens_of(node))
+        moves = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(tokens), st.sampled_from(ring.nodes)),
+                max_size=8,
+            )
+        )
+        for token, node in moves:
+            if ring.owner_of(token) != node:
+                ring.move_vnode(token, node)
+        factor = data.draw(st.integers(min_value=1, max_value=count + 1))
+        edges = [0, tokens[-1] + 1, 2**64 - 1]
+        picked = data.draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=6))
+        for token in picked:
+            edges += [token - 1, token, token + 1]
+        # Plant digests through the key-hash memo, as a key hashing to
+        # each edge would; the memo is restored afterwards.
+        memo = store_module._KEY_HASHES
+        planted = {
+            b"planted-%d" % index: digest
+            for index, digest in enumerate(edges)
+            if 0 <= digest < 2**64
+        }
+        saved = {key: memo.pop(key) for key in planted if key in memo}
+        memo.update(planted)
+        try:
+            keys = list(planted) + random_keys(seed, count=100)
+            placed = ring.place_many(keys, factor)
+            assert list(placed) == ring.nodes
+            for node, mask in placed.items():
+                expected = [node in ring.lookup_replicas(key, factor) for key in keys]
+                assert mask.tolist() == expected, node
+        finally:
+            for key in planted:
+                memo.pop(key, None)
+            memo.update(saved)
