@@ -25,7 +25,7 @@ from repro.errors import KVError
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, Tally
+from repro.sim.monitor import Counter
 
 __all__ = ["DrtmServer", "DrtmClient"]
 
@@ -39,7 +39,6 @@ class DrtmStats:
     puts: Counter = field(default_factory=lambda: Counter("puts"))
     rdma_ops: Counter = field(default_factory=lambda: Counter("rdma_ops"))
     cas_retries: Counter = field(default_factory=lambda: Counter("cas_retries"))
-    latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
 
     def ops_per_request(self) -> float:
         requests = self.gets.value + self.puts.value
@@ -186,7 +185,6 @@ class DrtmClient:
     def get(self, key: bytes) -> Generator:
         """Process body: locked one-sided GET; None when absent."""
         sim = self.sim
-        began = sim.now
         server = self.server
         slot = server.slot_of(key)
         value = None
@@ -211,13 +209,11 @@ class DrtmClient:
                 break
             slot = (slot + 1) % server.capacity  # placement collision
         self.stats.gets.increment()
-        self.stats.latency_us.record(sim.now - began)
         return value
 
     def put(self, key: bytes, value: bytes) -> Generator:
         """Process body: locked one-sided PUT into the key's slot."""
         sim = self.sim
-        began = sim.now
         server = self.server
         slot = server.slot_of(key)
         encoded = server._encode(key, value)
@@ -248,7 +244,6 @@ class DrtmClient:
                 self.stats.rdma_ops.increment()
                 yield from self._release(slot)
                 self.stats.puts.increment()
-                self.stats.latency_us.record(sim.now - began)
                 return None
             yield from self._release(slot)
             slot = (slot + 1) % server.capacity

@@ -34,7 +34,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.hw.verbs import QPType
 from repro.sim.core import AnyOf, Simulator
-from repro.sim.monitor import Counter, Tally
+from repro.sim.monitor import Counter
 from repro.sim.resources import Store
 
 __all__ = ["HerdServer", "HerdClient"]
@@ -51,7 +51,6 @@ class HerdStats:
     calls: Counter = field(default_factory=lambda: Counter("calls"))
     retransmits: Counter = field(default_factory=lambda: Counter("retransmits"))
     duplicate_requests: Counter = field(default_factory=lambda: Counter("dups"))
-    latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
 
 
 class _HerdChannel:
@@ -197,7 +196,6 @@ class HerdClient:
         limit = self.server.request_buffer_bytes - _REQUEST_HEADER.size
         if len(payload) > limit:
             raise ProtocolError(f"request of {len(payload)} B exceeds {limit} B")
-        began = sim.now
         self.seq += 1
         seq = self.seq
         self._staging.write_local(0, _REQUEST_HEADER.pack(seq, len(payload)) + payload)
@@ -218,7 +216,6 @@ class HerdClient:
             response = yield from self._await_reply(seq)
             if response is not None:
                 self.stats.calls.increment()
-                self.stats.latency_us.record(sim.now - began)
                 return response
         raise ProtocolError(
             f"{self.name}: call seq={seq} lost {self.max_attempts} times"

@@ -42,7 +42,7 @@ from repro.kv.serialization import (
 )
 from repro.paradigms.server_reply import ServerReplyClient, ServerReplyServer
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, Tally
+from repro.sim.monitor import Counter
 
 __all__ = ["PilafServer", "PilafClient", "INDEX_ENTRY_BYTES"]
 
@@ -72,7 +72,6 @@ class PilafStats:
     puts: Counter = field(default_factory=lambda: Counter("puts"))
     rdma_reads: Counter = field(default_factory=lambda: Counter("rdma_reads"))
     checksum_retries: Counter = field(default_factory=lambda: Counter("crc_retries"))
-    get_latency_us: Tally = field(default_factory=lambda: Tally("get_latency_us"))
 
     def reads_per_get(self) -> float:
         if self.gets.value == 0:
@@ -254,8 +253,6 @@ class PilafClient:
 
     def get(self, key: bytes) -> Generator:
         """Process body: one-sided GET; returns the value or ``None``."""
-        sim = self.sim
-        start = sim.now
         khash = crc64(key)
         candidates = cuckoo_candidates(key, self.server.capacity)
         self.stats.gets.increment()
@@ -274,7 +271,6 @@ class PilafClient:
                     break
             else:
                 # All three candidates probed, no match: a miss.
-                self.stats.get_latency_us.record(sim.now - start)
                 return None
             if entry is None:
                 continue  # index CRC retry
@@ -286,7 +282,6 @@ class PilafClient:
                 continue  # raced a PUT: retry from the index
             if payload[: len(key)] != key:
                 continue  # key-hash collision: re-probe
-            self.stats.get_latency_us.record(sim.now - start)
             return payload[len(key) :]
         raise KVError(f"GET of {key!r} exceeded {self.max_probe_rounds} probe rounds")
 

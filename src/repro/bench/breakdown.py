@@ -17,20 +17,15 @@ client-side issue contention in ``send``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.bench.figures import ExperimentResult, _fmt
-from repro.bench.harness import Scale
-from repro.core.client import RfpClient
-from repro.core.server import RfpServer
+from repro.bench.harness import Scale, run_controlled_process_time
 from repro.errors import BenchError
-from repro.hw.cluster import build_cluster
-from repro.hw.specs import CLUSTER_EUROSYS17
 from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
-from repro.workloads.loop import ClosedLoop, repeat
 
 __all__ = ["PhaseBreakdown", "measure_breakdown", "run_breakdown"]
 
@@ -55,60 +50,41 @@ def measure_breakdown(
 ) -> PhaseBreakdown:
     """Run a controlled-process-time workload and decompose latency."""
     sim = Simulator()
-    loop = ClosedLoop(sim, scale.window_us, scale.window_us * scale.warmup_fraction)
-    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
     tracer = Tracer(sim)
-    response = bytes(response_bytes)
-
-    def handler(payload, ctx):
-        return response, process_us
-
-    server = RfpServer(
-        sim, cluster, cluster.server, handler, server_threads, tracer=tracer
+    run_controlled_process_time(
+        "rfp",
+        process_us,
+        server_threads=server_threads,
+        client_threads=client_threads,
+        scale=scale,
+        response_bytes=response_bytes,
+        sim=sim,
+        tracer=tracer,
     )
-    clients: List[RfpClient] = []
-    for index in range(client_threads):
-        machine = cluster.client_machines[index % len(cluster.client_machines)]
-        # Names key the trace stitching: they must be unique per client.
-        client = RfpClient(
-            sim, machine, server, tracer=tracer, name=f"bd-client-{index}"
-        )
-        clients.append(client)
-        loop.spawn(repeat(client.call, bytes(16)))
-    loop.run()
 
-    # Stitch phases per (client, seq).  call_started is implicit: the
-    # previous call's call_done (or 0 for seq 1) — we instead use the
-    # latency recorded at call_done together with the two intermediate
-    # marks, which is exact for sequential clients.
-    sent: Dict[Tuple[str, int], float] = {}
+    # Marks pair by (channel, seq): clients share names, channels do not.
+    # A call starts ``latency_us`` before its call_done mark.
+    sent: Dict[Tuple[int, int], float] = {}
     published: Dict[Tuple[int, int], float] = {}
     sends, servers, fetches, totals = [], [], [], []
     for event in tracer.events():
+        data = event.data
         if event.label == "request_sent":
-            sent[(event.data["client"], event.data["seq"])] = event.at_us
+            sent[(data["channel"], data["seq"])] = event.at_us
         elif event.label == "response_published":
-            published[(event.data["client"], event.data["seq"])] = event.at_us
-    # Client ids on the server side differ from client names; align by
-    # matching the k-th published response of channel c to the k-th sent
-    # request of the client bound to that channel.
-    channel_of = {
-        client.name: client.channel.client_id for client in clients
-    }
-    for event in tracer.events(label="call_done"):
-        name = event.data["client"]
-        seq = event.data["seq"]
-        latency = event.data["latency_us"]
-        send_done = sent.get((name, seq))
-        publish = published.get((channel_of[name], seq))
-        if send_done is None or publish is None:
-            continue
-        done = event.at_us
-        started = done - latency
-        sends.append(send_done - started)
-        servers.append(publish - send_done)
-        fetches.append(done - publish)
-        totals.append(latency)
+            published[(data["client"], data["seq"])] = event.at_us
+        elif event.label == "call_done":
+            key = (data["channel"], data["seq"])
+            send_done = sent.pop(key, None)
+            publish = published.pop(key, None)
+            if send_done is None or publish is None:
+                continue
+            latency = data["latency_us"]
+            done = event.at_us
+            sends.append(send_done - (done - latency))
+            servers.append(publish - send_done)
+            fetches.append(done - publish)
+            totals.append(latency)
     if not totals:
         raise BenchError(
             f"no complete calls traced in a {scale.window_us} us window"

@@ -19,10 +19,11 @@ experiment without writing code.  Example spec::
 
 Exactly one of ``server_threads`` / ``client_threads`` / ``value_size``
 / ``get_fraction`` may be a list — that becomes the sweep axis; the
-cross product of systems × sweep points is measured.  Thread counts,
-``value_size``, ``records`` and ``window_us`` must be positive and
-``get_fraction`` lie in [0, 1]; :func:`load_spec` refuses anything else
-with a :class:`~repro.errors.BenchError` naming the field.
+cross product of systems × sweep points is measured on
+:mod:`repro.exp`'s ``kv`` driver.  Thread counts, ``value_size``,
+``records`` and ``window_us`` must be positive and ``get_fraction`` lie
+in [0, 1]; :func:`load_spec` refuses anything else with a
+:class:`~repro.errors.BenchError` naming the field.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ import math
 from typing import Any, Dict, List
 
 from repro.bench.figures import ExperimentResult, _fmt
-from repro.bench.harness import Scale, run_kv
+from repro.bench.harness import Scale
 from repro.bench.systems import SYSTEMS
 from repro.errors import BenchError
-from repro.workloads.value_sizes import FixedValues
-from repro.workloads.ycsb import WorkloadSpec
 
 __all__ = ["load_spec", "run_custom"]
 
@@ -62,6 +61,9 @@ def _fraction(field: str, value: Any) -> None:
     if not (_is_number(value) and 0.0 <= value <= 1.0):
         raise BenchError(f"{field} must be a number in [0, 1], got {value!r}")
 
+
+#: Spec field -> :class:`repro.exp.spec.Workload` field, where they differ.
+_FIELDS = {"value_size": "value_bytes"}
 
 _CHECKS = {
     "server_threads": _positive_int,
@@ -130,44 +132,48 @@ def load_spec(path: str) -> Dict:
 
 
 def run_custom(spec: Dict, scale: Scale = Scale.fast()) -> ExperimentResult:
-    """Run a loaded spec; one row per (sweep point)."""
-    workload_spec = dict(spec.get("workload", {}))
+    """Run a loaded spec on the ``kv`` driver; one row per sweep point.
+
+    The spec becomes an :class:`~repro.exp.spec.ExperimentSpec` whose
+    axes are the sweep (if any) and then ``paradigm`` over the systems.
+    """
+    # Imported lazily: repro.exp imports this module's package.
+    from repro.exp.runner import ExperimentRunner, default_observers
+    from repro.exp.spec import ExperimentSpec
+
+    workload = dict(spec.get("workload", {}))
     systems: List[str] = spec["systems"]
     axis = spec.get("_sweep_axis")
-    points = spec.get(axis, [None]) if axis else [None]
-    window = float(spec.get("window_us", scale.window_us))
-    base_settings = dict(_DEFAULTS)
+    settings = dict(_DEFAULTS)
     for key in _SWEEPABLE:
-        if key in workload_spec:
-            base_settings[key] = workload_spec.pop(key)
+        if key in workload:
+            settings[key] = workload.pop(key)
         if key in spec and not isinstance(spec[key], list):
-            base_settings[key] = spec[key]
-    rows = []
-    for point in points:
-        settings = dict(base_settings)
-        if axis is not None:
-            settings[axis] = point
-        workload = WorkloadSpec(
-            records=int(workload_spec.get("records", scale.records)),
-            get_fraction=float(settings["get_fraction"]),
-            distribution=workload_spec.get("distribution", "uniform"),
-            value_sizes=FixedValues(int(settings["value_size"])),
-            seed=int(workload_spec.get("seed", 42)),
-        )
-        row = [point if point is not None else "-"]
-        for system in systems:
-            result = run_kv(
-                system,
-                workload,
-                server_threads=int(settings["server_threads"]),
-                client_threads=int(settings["client_threads"]),
-                scale=Scale(window_us=window, records=workload.records),
-            )
-            row.append(_fmt(result.throughput_mops))
-        rows.append(row)
+            settings[key] = spec[key]
+    records = workload.get("records", scale.records)
+    base = {_FIELDS.get(key, key): value for key, value in settings.items()}
+    base.update(
+        records=records,
+        distribution=workload.get("distribution", "uniform"),
+        seed=workload.get("seed", 42),
+    )
+    points = spec[axis] if axis else ["-"]
+    axes = {_FIELDS.get(axis, axis): tuple(points)} if axis else {}
+    axes["paradigm"] = tuple(systems)
+    title = spec.get("title", "custom experiment")
+    run = ExperimentRunner(default_observers()).run(
+        ExperimentSpec("custom", title, "kv", base=base, axes=axes),
+        Scale(window_us=float(spec.get("window_us", scale.window_us)), records=records),
+    )
+    mops = [_fmt(outcome.metrics["mops"]) for outcome in run.outcomes]
+    width = len(systems)
+    rows = [
+        [point] + mops[index * width : (index + 1) * width]
+        for index, point in enumerate(points)
+    ]
     return ExperimentResult(
         "custom",
-        spec.get("title", "custom experiment"),
+        title,
         [axis or "point"] + [f"{name}_mops" for name in systems],
         rows,
         paper_expectation="user-defined experiment",

@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import List
 
 from repro.baselines.herd import HerdServer
 from repro.bench.figures import ExperimentResult, _fmt, _spec
@@ -24,7 +24,7 @@ from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec, MachineSpec, NicSpec
 from repro.sim.core import Simulator
 from repro.workloads.loop import ClosedLoop, kv_operations, repeat
-from repro.workloads.ycsb import Operation, WorkloadSpec, YcsbWorkload
+from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 
 __all__ = [
     "run_ablation_symmetric",
@@ -92,12 +92,6 @@ def run_ablation_symmetric(scale: Scale) -> ExperimentResult:
     )
 
 
-def _truncated(operations: Iterable[Operation], limit: int) -> Iterator[Operation]:
-    """``operations`` with every PUT value cut to ``limit`` bytes."""
-    for op in operations:
-        yield op if op.is_get else op._replace(value=op.value[:limit])
-
-
 def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
     """DrTM-style CAS-locked bypass vs Jakiro, uniform vs Zipf (§5).
 
@@ -127,10 +121,7 @@ def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
         for index in range(35):
             client = server.connect(cluster.client_machines[index % 7])
             clients.append(client)
-            operations = _truncated(
-                workload.operations(f"c{index}"), server.max_value_bytes
-            )
-            loop.spawn(kv_operations(client, operations))
+            loop.spawn(kv_operations(client, workload.operations(f"c{index}")))
         loop.run()
         retries = sum(c.stats.cas_retries.value for c in clients)
         completed = max(1, loop.completions())

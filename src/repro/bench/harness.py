@@ -13,7 +13,7 @@ process-time echo RPC (Figs. 9, 14, 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
 from repro.paradigms.server_reply import ServerReplyClient, ServerReplyServer
 from repro.sim.core import Simulator
+from repro.sim.trace import Tracer
 from repro.workloads.loop import ClosedLoop, kv_operations, repeat
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 
@@ -155,12 +156,14 @@ def run_controlled_process_time(
     config: Optional[RfpConfig] = None,
     cluster_spec: ClusterSpec = CLUSTER_EUROSYS17,
     sim: Optional[Simulator] = None,
+    tracer: Optional[Tracer] = None,
 ) -> KvRunResult:
     """The RDTSC-loop experiments: echo RPC with an exact process time.
 
     ``mode`` is ``"rfp"`` (hybrid on), ``"rfp-no-switch"`` (pure repeated
     remote fetching, the Fig. 9/14 ablation), or ``"serverreply"``.
-    ``sim`` lets an orchestrator supply the fresh simulator.
+    ``sim`` lets an orchestrator supply the fresh simulator; ``tracer``
+    (on that simulator) is handed to the server and every client.
     """
     if sim is None:
         sim = Simulator()
@@ -174,26 +177,22 @@ def run_controlled_process_time(
 
     base = config if config is not None else RfpConfig()
     if mode == "rfp":
-        server = RfpServer(sim, cluster, cluster.server, handler, server_threads, base)
-        client_class = RfpClient
+        server_class, client_class = RfpServer, RfpClient
     elif mode == "rfp-no-switch":
-        from dataclasses import replace
-
         base = replace(base, hybrid_enabled=False)
-        server = RfpServer(sim, cluster, cluster.server, handler, server_threads, base)
-        client_class = RfpClient
+        server_class, client_class = RfpServer, RfpClient
     elif mode == "serverreply":
-        server = ServerReplyServer(
-            sim, cluster, cluster.server, handler, server_threads, base
-        )
-        client_class = ServerReplyClient
+        server_class, client_class = ServerReplyServer, ServerReplyClient
     else:
         raise BenchError(f"unknown mode {mode!r}")
+    server = server_class(
+        sim, cluster, cluster.server, handler, server_threads, base, tracer=tracer
+    )
 
     clients = []
     for index in range(client_threads):
         machine = cluster.client_machines[index % len(cluster.client_machines)]
-        client = client_class(sim, machine, server, base)
+        client = client_class(sim, machine, server, base, tracer=tracer)
         clients.append(client)
         loop.spawn(repeat(client.call, bytes(16)), name=f"driver-{index}")
     loop.run()

@@ -1,11 +1,10 @@
 """Per-shard measurement instruments for cluster runs.
 
 One :class:`ShardMetrics` per shard rides the standard
-:mod:`repro.sim.monitor` instruments (Counters for op/timeout counts, a
-Tally for routed-op latency), and :class:`ClusterMetrics` holds one
-per shard.  Readout is idle-safe: a shard that served nothing during
-the window reports NaN latency percentiles instead of crashing the
-reader (see :meth:`repro.sim.monitor.Tally.percentile`).
+:mod:`repro.sim.monitor` Counters (routed ops, timeouts, failover ops,
+recovery and rebalance progress), and :class:`ClusterMetrics` holds one
+per shard.  Routed-op latency is kept by whatever drives the
+operations (the benches' :class:`repro.workloads.ClosedLoop`), not here.
 
 Besides the cumulative counters the aggregate keeps a *windowed* view:
 per-shard (and per-vnode, when the router attributes a ring token) op
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.errors import ClusterError
-from repro.sim.monitor import Counter, Tally
+from repro.sim.monitor import Counter
 
 __all__ = ["ShardMetrics", "ClusterMetrics"]
 
@@ -32,7 +31,7 @@ _NAN = float("nan")
 
 @dataclass
 class ShardMetrics:
-    """Counters and latency tally for one shard's routed traffic."""
+    """Counters for one shard's routed traffic."""
 
     name: str
     gets: Counter = field(default_factory=lambda: Counter("gets"))
@@ -41,7 +40,6 @@ class ShardMetrics:
     #: Operations that reached this shard on a retry, after a first
     #: attempt timed out against another (failing) shard.
     failover_ops: Counter = field(default_factory=lambda: Counter("failover_ops"))
-    latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
     #: Recovery-transfer progress: batches pulled by this shard while it
     #: was RECOVERING, and the keys/bytes they carried.
     transfer_batches: Counter = field(
@@ -90,7 +88,6 @@ class ClusterMetrics:
         self,
         name: str,
         op: str,
-        latency_us: float,
         rerouted: bool = False,
         token: Optional[int] = None,
     ) -> None:
@@ -105,7 +102,6 @@ class ClusterMetrics:
             metrics.gets.increment()
         else:
             metrics.puts.increment()
-        metrics.latency_us.record(latency_us)
         if rerouted:
             metrics.failover_ops.increment()
         self._window_ops[name] = self._window_ops.get(name, 0) + 1

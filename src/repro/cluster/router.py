@@ -691,7 +691,6 @@ class ClusterClient:
                 )
             client = self._clients[shard_name]
             body = client.get(key) if op == "get" else client.put(key, value)
-            began = sim.now
             call = sim.process(body, name=self._op_names[op])
             # The deadline completes the call's ``done`` itself, so the
             # wait below is the whole race.  It is armed before the call
@@ -702,7 +701,6 @@ class ClusterClient:
                 service.metrics.record_op(
                     shard_name,
                     op,
-                    sim.now - began,
                     rerouted=rerouted,
                     token=service.ring.token_of(key),
                 )

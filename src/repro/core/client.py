@@ -55,7 +55,6 @@ class RfpClientStats:
     """Per-client counters the harness and Table 3 read out."""
 
     calls: Counter = field(default_factory=lambda: Counter("calls"))
-    latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
     #: Fetch reads issued for each remote-fetch call (Table 3's N).
     fetch_attempts: Tally = field(default_factory=lambda: Tally("fetch_attempts"))
     remote_reads: Counter = field(default_factory=lambda: Counter("remote_reads"))
@@ -352,15 +351,12 @@ class RfpClient:
 
     def _call_done(self, parity: int) -> None:
         """Record the finished call and release the channel."""
-        stats = self.stats
-        latency = self.sim.now - self._call_started_at
-        stats.calls.value += 1
-        stats.latency_us.record(latency)
+        self.stats.calls.value += 1
         if self.tracer is not None:
             self._trace(
                 "call_done",
                 seq=self.seq,
-                latency_us=round(latency, 3),
+                latency_us=round(self.sim.now - self._call_started_at, 3),
                 mode=self.policy.mode.name,
             )
         # Re-check after the yields: only the call that owns the

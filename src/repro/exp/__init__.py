@@ -10,7 +10,7 @@ x paradigm) grid.  This package makes that grid a first-class object:
 - :mod:`repro.exp.runner` — :class:`ExperimentRunner` expands the
   matrix, runs each condition on a fresh seeded simulator, and streams
   lifecycle events to pluggable :class:`~repro.exp.observers.RunObserver`
-  hooks (progress, invariant-checker attachment, metrics capture).
+  hooks (progress, invariant-checker attachment).
 - :mod:`repro.exp.drivers` — the condition drivers (raw verbs, the
   controlled paradigm grid, closed-loop KV, the full cluster
   fault/recovery machinery) that the migrated benchmarks share instead
@@ -30,7 +30,6 @@ from repro.exp.artifact import deterministic_view, validate_artifact
 from repro.exp.library import SPECS
 from repro.exp.observers import (
     InvariantObserver,
-    MetricsObserver,
     ProgressObserver,
     RunObserver,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ExperimentSpec",
     "FaultPoint",
     "InvariantObserver",
-    "MetricsObserver",
     "Phase",
     "ProgressObserver",
     "RunObserver",

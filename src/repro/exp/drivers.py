@@ -14,7 +14,7 @@ Five drivers cover the migrated benchmarks:
   RPC per paradigm, plus the synthetic server-bypass corner with its
   access amplification.
 - ``kv`` — one closed-loop KV run (any registered system) under a YCSB
-  workload; the general entry point for future migrations.
+  workload; ``python -m repro.bench --spec`` runs on it.
 - ``cluster`` — the full sharded-cluster machinery the three
   ``ext-cluster-*`` benches used to hand-roll: topology build, optional
   tracing with observer-attached invariant checkers, YCSB or

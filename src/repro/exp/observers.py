@@ -1,8 +1,8 @@
 """Pluggable lifecycle observers for :class:`~repro.exp.runner.ExperimentRunner`.
 
-The runner is deliberately free of progress printing, invariant
-checking, and metrics plumbing — those are observers, so tests can swap
-them and the CLI can stack them.  Three ship here:
+The runner is deliberately free of progress printing and invariant
+checking — those are observers, so tests can swap them and the CLI
+can stack them.  Two ship here:
 
 - :class:`ProgressObserver` — one line per condition to a stream.
 - :class:`InvariantObserver` — attaches the runtime invariant checkers
@@ -10,14 +10,15 @@ them and the CLI can stack them.  Three ship here:
   condition finishes.  It also registers the checkers back into the
   :class:`~repro.exp.runner.ConditionContext` so driver-side audits
   (NIC accounting, durability) can interrogate them.
-- :class:`MetricsObserver` — captures the stream of per-condition
-  metrics for programmatic consumers.
+
+Each condition's metrics need no observer: they are in
+:attr:`~repro.exp.runner.RunResult.outcomes`.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Optional, TextIO, Tuple
 
 from repro.core.config import RfpConfig
 from repro.sim.core import Simulator
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "InvariantObserver",
-    "MetricsObserver",
     "ProgressObserver",
     "RunObserver",
 ]
@@ -125,15 +125,3 @@ class InvariantObserver(RunObserver):
     def condition_finished(self, context, outcome, index, total) -> None:
         for checker in context.checkers.values():
             checker.assert_clean()
-
-
-class MetricsObserver(RunObserver):
-    """Capture the per-condition metrics stream."""
-
-    def __init__(self) -> None:
-        self.captured: List[Tuple[str, Dict[str, object]]] = []
-
-    def condition_finished(self, context, outcome, index, total) -> None:
-        self.captured.append(
-            (outcome.condition.label, dict(outcome.metrics))
-        )

@@ -5,8 +5,8 @@ expands an :class:`~repro.exp.spec.ExperimentSpec` into conditions, hands
 each to its registered driver with a fresh :class:`ConditionContext`,
 and streams lifecycle events to the subscribed observers.  Drivers
 create their simulator and tracers *through* the context so observers
-see them (progress, invariant-checker attachment, metrics capture)
-without the driver knowing any observer exists.
+see them (progress, invariant-checker attachment) without the driver
+knowing any observer exists.
 
 Wall-clock seconds per condition are captured around the driver call and
 carried as host-dependent data — they are flagged ``unpinned`` in run

@@ -62,7 +62,11 @@ class FaultPoint:
 
 @dataclass(frozen=True)
 class Phase:
-    """One measurement phase: ``[start_frac, end_frac)`` of the window."""
+    """One measurement phase: ``[start_frac, end_frac]`` of the window.
+
+    Both edges are closed: :class:`~repro.workloads.ClosedLoop` counts a
+    completion at a shared edge in both adjacent phases.
+    """
 
     name: str
     start_frac: float

@@ -11,8 +11,9 @@ derived from its name:
 
 - throughput-like (``mops`` / ``*_mops``) — higher is better; a drop
   beyond tolerance is a regression;
-- loss-like (``lost*``) — lower is better; any increase is a
-  regression;
+- loss-like (``lost*``) and times in microseconds (``*_us``:
+  latencies, hand-off and queue-drain instants) — lower is better; a
+  rise beyond tolerance is a regression, and from zero any rise is;
 - everything else is *neutral*: reported when it changes, never flagged.
 
 Deterministic metrics from the same tree at the same scale agree

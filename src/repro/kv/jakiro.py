@@ -260,12 +260,6 @@ class JakiroClient:
     def total_calls(self) -> int:
         return sum(t.stats.calls.value for t in self.transports)
 
-    def latency_samples(self) -> List[float]:
-        samples: List[float] = []
-        for transport in self.transports:
-            samples.extend(transport.stats.latency_us.samples)
-        return samples
-
     def fetch_attempt_samples(self) -> List[float]:
         samples: List[float] = []
         for transport in self.transports:
@@ -274,12 +268,6 @@ class JakiroClient:
 
     def busy_time(self) -> float:
         return sum(t.stats.busy.busy_time for t in self.transports)
-
-    def cpu_utilization(self, elapsed: float) -> float:
-        """This client thread's CPU utilization over ``elapsed`` µs."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time() / elapsed)
 
     def remote_reads(self) -> int:
         return sum(t.stats.remote_reads.value for t in self.transports)

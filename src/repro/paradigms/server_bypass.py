@@ -25,7 +25,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryRegion
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, Tally
+from repro.sim.monitor import Counter
 
 __all__ = ["SyntheticBypassClient", "BypassStats"]
 
@@ -36,7 +36,6 @@ class BypassStats:
 
     requests: Counter = field(default_factory=lambda: Counter("requests"))
     rdma_reads: Counter = field(default_factory=lambda: Counter("rdma_reads"))
-    latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
 
     def reads_per_request(self) -> float:
         if self.requests.value == 0:
@@ -94,7 +93,6 @@ class SyntheticBypassClient:
     def request(self) -> Generator:
         """Process body: one logical request = k sequential sync reads."""
         sim = self.sim
-        start = sim.now
         for offset in self._offsets:
             yield sim.timeout(self.post_cpu_us)
             yield self.endpoint.post_read(
@@ -102,4 +100,3 @@ class SyntheticBypassClient:
             )
             self.stats.rdma_reads.increment()
         self.stats.requests.increment()
-        self.stats.latency_us.record(sim.now - start)

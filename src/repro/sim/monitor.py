@@ -50,9 +50,9 @@ class Tally:
     (:meth:`mean`, :meth:`minimum`, :meth:`maximum`, :meth:`percentile`)
     raises :class:`ValueError` on an empty tally by default, or returns
     the ``default`` argument when one is given — reporting code that must
-    survive idle instruments (an unloaded cluster shard, a warmup-only
-    run) passes ``default=float("nan")`` and renders the NaN, instead of
-    crashing mid-report.
+    survive idle instruments (a client that never completed a call, a
+    warmup-only run) passes ``default=float("nan")`` and renders the
+    NaN, instead of crashing mid-report.
     """
 
     def __init__(self, name: str = "") -> None:

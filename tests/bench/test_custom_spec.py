@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.bench.custom import load_spec, run_custom
-from repro.bench.harness import Scale
+from repro.bench.figures import _fmt
+from repro.bench.harness import Scale, run_kv
 from repro.errors import BenchError
+from repro.workloads import FixedValues, WorkloadSpec
 
 
 def write_spec(tmp_path, spec):
@@ -110,6 +112,40 @@ class TestRunCustom:
         assert result.columns == ["server_threads", "jakiro_mops", "serverreply_mops"]
         for row in result.rows:
             assert row[1] > 0 and row[2] > 0
+
+    def test_each_cell_is_the_direct_run_of_its_system_and_point(self, tmp_path):
+        spec = load_spec(
+            write_spec(
+                tmp_path,
+                {
+                    "systems": ["jakiro", "serverreply"],
+                    "value_size": [32, 512],
+                    "client_threads": 4,
+                    "workload": {"records": 128, "seed": 5},
+                    "window_us": 300,
+                },
+            )
+        )
+        result = run_custom(spec, TINY)
+        scale = Scale(window_us=300.0, records=128)
+        expected = [
+            [size]
+            + [
+                _fmt(
+                    run_kv(
+                        system,
+                        WorkloadSpec(
+                            records=128, value_sizes=FixedValues(size), seed=5
+                        ),
+                        client_threads=4,
+                        scale=scale,
+                    ).throughput_mops
+                )
+                for system in ("jakiro", "serverreply")
+            ]
+            for size in (32, 512)
+        ]
+        assert result.rows == expected
 
     def test_value_size_sweep_affects_workload(self, tmp_path):
         spec = load_spec(

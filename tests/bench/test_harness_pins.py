@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.bench.breakdown import PhaseBreakdown, measure_breakdown
 from repro.bench.calibration import (
     measure_bypass,
     measure_inbound_iops,
@@ -132,6 +133,18 @@ def test_controlled_process_time_pinned(mode):
         digest(result.latency_us),
         result.extras["clients_in_reply_mode"],
     ) == CONTROLLED_PINS[mode]
+
+
+def test_breakdown_pinned():
+    # The phases are stitched from the echo run's trace by (channel, seq);
+    # any mispairing moves them even though they still sum to the total.
+    assert measure_breakdown(2.0, scale=TINY) == PhaseBreakdown(
+        send_us=2.786078534114875,
+        server_us=8.128498881150362,
+        fetch_us=2.259371170853017,
+        total_us=13.173948586118252,
+        calls=778,
+    )
 
 
 def test_raw_verb_probes_pinned():

@@ -208,7 +208,7 @@ class TestRebalanceController:
         for name in service.shards:
             token = service.ring.tokens_of(name)[0]
             for _ in range(20):
-                service.metrics.record_op(name, "get", 1.0, token=token)
+                service.metrics.record_op(name, "get", token=token)
         assert controller._decide() is None
 
     def test_decide_picks_hot_vnodes_for_the_coldest_shard(self):
@@ -220,11 +220,11 @@ class TestRebalanceController:
         hot_tokens = service.ring.tokens_of(hot)[:3]
         for hot_token in hot_tokens:
             for _ in range(30):
-                service.metrics.record_op(hot, "get", 1.0, token=hot_token)
+                service.metrics.record_op(hot, "get", token=hot_token)
         others = sorted(name for name in service.shards if name != hot)
         for _ in range(30):
             service.metrics.record_op(
-                others[0], "get", 1.0, token=service.ring.tokens_of(others[0])[0]
+                others[0], "get", token=service.ring.tokens_of(others[0])[0]
             )
         decision = controller._decide()
         assert decision is not None

@@ -32,6 +32,21 @@ def run_calls(sim, client, payloads):
     return sim.process(body(sim))
 
 
+def call_latencies(sim, client, payloads):
+    """Run ``payloads`` back to back; each call's latency, timed by the caller."""
+    latencies = []
+
+    def body(sim):
+        for payload in payloads:
+            began = sim.now
+            yield from client.call(payload)
+            latencies.append(sim.now - began)
+
+    sim.process(body(sim))
+    sim.run()
+    return latencies
+
+
 class TestBufferBoundaries:
     def test_request_at_exact_buffer_limit(self):
         config = RfpConfig(request_buffer_bytes=256)
@@ -141,17 +156,15 @@ class TestServerJitter:
     def test_jitter_disabled_is_deterministic_per_call(self):
         config = RfpConfig(server_sw_jitter_us=0.0)
         sim, _, _, (client,) = make_rig(lambda p, c: (p, 0.5), config=config)
-        run_calls(sim, client, [b"x"] * 20)
-        sim.run()
-        latencies = client.stats.latency_us.samples
+        latencies = call_latencies(sim, client, [b"x"] * 20)
+        assert len(latencies) == 20
         assert max(latencies) - min(latencies) < 1e-9
 
     def test_jitter_spreads_latency(self):
         config = RfpConfig(server_sw_jitter_us=0.5)
         sim, _, _, (client,) = make_rig(lambda p, c: (p, 0.5), config=config)
-        run_calls(sim, client, [b"x"] * 20)
-        sim.run()
-        latencies = client.stats.latency_us.samples
+        latencies = call_latencies(sim, client, [b"x"] * 20)
+        assert len(latencies) == 20
         assert max(latencies) - min(latencies) > 0.05
 
     def test_buffered_jitter_matches_per_call_draws(self):

@@ -6,7 +6,6 @@ from repro.bench.harness import Scale
 from repro.errors import ExpError
 from repro.exp.observers import (
     InvariantObserver,
-    MetricsObserver,
     ProgressObserver,
     RunObserver,
 )
@@ -107,17 +106,6 @@ class TestLifecycle:
 
 
 class TestObservers:
-    def test_metrics_observer_captures_stream(self):
-        metrics = MetricsObserver()
-        runner = ExperimentRunner(
-            observers=[metrics], drivers={"fake": fake_driver}
-        )
-        runner.run(toy_spec(axes={"server_threads": (1, 2)}), FAST)
-        assert metrics.captured == [
-            ("server_threads=1", {"mops": 1.0}),
-            ("server_threads=2", {"mops": 2.0}),
-        ]
-
     def test_invariant_observer_attaches_checkers_to_published_tracers(self):
         from repro.sim.trace import Tracer
 

@@ -36,13 +36,6 @@ class TestAggregation:
         # EREW routing spreads keys over several transports.
         assert sum(1 for calls in per_transport if calls > 0) >= 2
 
-    def test_latency_samples_collected_across_transports(self):
-        sim, jakiro, client = make_client()
-        run_ops(sim, client, 10)
-        samples = client.latency_samples()
-        assert len(samples) == client.total_calls()
-        assert all(sample > 0 for sample in samples)
-
     def test_fetch_attempts_cover_every_call(self):
         sim, jakiro, client = make_client()
         run_ops(sim, client, 10)
@@ -50,13 +43,6 @@ class TestAggregation:
         # All calls stayed in remote-fetch mode on a fast server.
         assert len(attempts) == client.total_calls()
         assert all(a >= 1 for a in attempts)
-
-    def test_cpu_utilization_bounded(self):
-        sim, jakiro, client = make_client()
-        run_ops(sim, client, 10)
-        utilization = client.cpu_utilization(sim.now)
-        assert 0.0 < utilization <= 1.0
-        assert client.cpu_utilization(0.0) == 0.0
 
     def test_remote_reads_counted(self):
         sim, jakiro, client = make_client()

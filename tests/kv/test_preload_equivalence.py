@@ -73,22 +73,24 @@ def _run_jakiro(dataset, bulk, spec=SPEC, buckets_per_partition=16384):
         for key, value in dataset:
             store.put(partition_of(key, store.partitions), key, value)
     loaded = _store_state(jakiro.store)
-    clients = []
+    samples = []
     for index in range(CLIENTS):
         client = jakiro.connect(cluster.client_machines[index % 7], name=f"c{index}")
         operations = workload.operations(client.name)
+        latencies = []
 
-        def body(client=client, operations=operations):
+        def body(client=client, operations=operations, latencies=latencies):
             for op in operations:
+                began = sim.now
                 if op.is_get:
                     yield from client.get(op.key)
                 else:
                     yield from client.put(op.key, op.value)
+                latencies.append(sim.now - began)
 
         sim.process(body())
-        clients.append(client)
+        samples.append(latencies)
     sim.run(until=WINDOW_US)
-    samples = [client.latency_samples() for client in clients]
     return loaded, samples, sim.dispatched, _store_state(jakiro.store)
 
 

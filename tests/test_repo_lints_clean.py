@@ -151,22 +151,59 @@ def test_cluster_atomic_regions_are_declared_and_proven():
             assert index.yield_path(info) is None, info.qualname
 
 
+CLOSED_LOOP = os.path.join("src", "repro", "workloads", "loop.py")
+
+
+def shipped_code():
+    """``(path relative to the repo, parsed tree)`` for ``src`` and ``examples``."""
+    roots = [os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "examples")]
+    for path in iter_python_files(roots):
+        with open(path, "r", encoding="utf-8") as handle:
+            yield os.path.relpath(path, REPO_ROOT), ast.parse(handle.read())
+
+
+def calls_to(tree, name):
+    """Every call in ``tree`` of a function or method called ``name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if called == name:
+                yield node
+
+
 def test_one_throughput_meter_behind_every_closed_loop():
     """Every closed-loop measurement runs through
     ``repro.workloads.ClosedLoop``: the only ``ThroughputMeter(...)``
     call in ``src`` and ``examples`` is the one inside it, so a new
     hand-written loop with its own meter and warm-up fails here."""
-    calls = []
-    roots = [os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "examples")]
-    for path in iter_python_files(roots):
-        with open(path, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
+    calls = [
+        path for path, tree in shipped_code() for _ in calls_to(tree, "ThroughputMeter")
+    ]
+    assert calls == [CLOSED_LOOP], calls
+
+
+def test_one_latency_tally_behind_every_measurement():
+    """Per-operation latency is kept only by what drives the operations:
+    the only ``Tally(...)`` in ``src`` and ``examples`` named for latency
+    (by its name argument or by what it is assigned to) is
+    ``ClosedLoop``'s, so a client, server or shard that starts keeping
+    its own copy of every operation's latency fails here."""
+
+    def mentions_latency(node):
+        return "latency" in ast.unparse(node).lower()
+
+    sites = set()
+    for path, tree in shipped_code():
+        for call in calls_to(tree, "Tally"):
+            arguments = list(call.args) + [kw.value for kw in call.keywords]
+            if any(mentions_latency(argument) for argument in arguments):
+                sites.add((path, call.lineno))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(
-                    func, "id", None
-                )
-                if name == "ThroughputMeter":
-                    calls.append(os.path.relpath(path, REPO_ROOT))
-    assert calls == [os.path.join("src", "repro", "workloads", "loop.py")], calls
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(mentions_latency(target) for target in targets):
+                    sites.update((path, c.lineno) for c in calls_to(node.value, "Tally"))
+    assert [path for path, _ in sorted(sites)] == [CLOSED_LOOP], sorted(sites)
