@@ -7,13 +7,15 @@ per shard.  Routed-op latency is kept by whatever drives the
 operations (the benches' :class:`repro.workloads.ClosedLoop`), not here.
 
 Besides the cumulative counters the aggregate keeps a *windowed* view:
-per-shard (and per-vnode, when the router attributes a ring token) op
-counts since the last :meth:`ClusterMetrics.reset_window`.  The window
-is reset in sim time by whoever reads it — the rebalance controller
-resets after each decision interval — so the load signal tracks the
-*current* skew instead of averaging over the whole run.
-:meth:`ClusterMetrics.load_imbalance` reads the same window, so the
-balancer and the benches can never disagree about what "hot" means.
+per-shard and per-vnode op counts since the last
+:meth:`ClusterMetrics.reset_window`.  The window is reset in sim time by
+whoever reads it — the rebalance controller resets after each decision
+interval — so the load signal tracks the *current* skew instead of
+averaging over the whole run.  :meth:`ClusterMetrics.load_imbalance`
+reads the same window, so the balancer and the benches can never
+disagree about what "hot" means.  The per-vnode counts start at the
+first reset: only the controller reads them, and it resets when it
+starts, so a run without one never looks a ring token up.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class ClusterMetrics:
             raise ClusterError("cluster metrics need at least one shard")
         #: Sim time of the last :meth:`reset_window`.
         self.window_started_us = 0.0
+        #: Whether the router attributes ops per vnode: from the first
+        #: :meth:`reset_window` on.
+        self.attributing_vnodes = False
         self._window_ops: Dict[str, int] = {name: 0 for name in self.shards}
         self._window_vnode_ops: Dict[int, int] = {}
 
@@ -99,12 +104,12 @@ class ClusterMetrics:
         """
         metrics = self.shard(name)
         if op == "get":
-            metrics.gets.increment()
+            metrics.gets.value += 1
         else:
-            metrics.puts.increment()
+            metrics.puts.value += 1
         if rerouted:
-            metrics.failover_ops.increment()
-        self._window_ops[name] = self._window_ops.get(name, 0) + 1
+            metrics.failover_ops.value += 1
+        self._window_ops[name] += 1
         if token is not None:
             self._window_vnode_ops[token] = self._window_vnode_ops.get(token, 0) + 1
 
@@ -136,6 +141,7 @@ class ClusterMetrics:
     def reset_window(self, now_us: float) -> None:
         """Start a fresh load window at sim time ``now_us``."""
         self.window_started_us = now_us
+        self.attributing_vnodes = True
         self._window_ops = {name: 0 for name in self.shards}
         self._window_vnode_ops = {}
 

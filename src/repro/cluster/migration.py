@@ -256,10 +256,10 @@ class RangeMigration:
         normal replication, not forwarding).
         """
         factor = self.service.config.replication_factor
-        if self.shard not in self.target_ring.lookup_replicas(key, factor):
+        if self.shard not in self.target_ring.replicas(key, factor):
             return False
         ring = self.service.ring
-        if self.shard in ring and self.shard in ring.lookup_replicas(key, factor):
+        if self.shard in ring and self.shard in ring.replicas(key, factor):
             return False
         return True
 

@@ -28,7 +28,7 @@ Replica placement follows the textbook rule: the replicas of a key are
 the first ``count`` *distinct* shards clockwise of its hash.  That makes
 failover a pure ring operation — removing a dead shard re-routes each of
 its ranges to exactly the shard that already held the range's replica.
-Routing resolves one key at a time (:meth:`lookup_replicas`, memoized);
+Routing resolves one key at a time (:meth:`replicas`, memoized);
 whole batches — a dataset preload, a migration plan — are placed in one
 NumPy pass by :meth:`place_many`, which applies the same rule.
 """
@@ -60,7 +60,7 @@ class HashRing:
         # Placement is a pure function of membership, so lookups memoize
         # per (key, count) until the membership changes.  Routers resolve
         # the same small key population on every op.
-        self._lookup_cache: Dict[Tuple[bytes, int], List[str]] = {}
+        self._lookup_cache: Dict[Tuple[bytes, int], Tuple[str, ...]] = {}
         #: Memoized key -> owning token (cleared with the lookup cache);
         #: lets the router attribute per-vnode load without re-bisecting.
         self._token_cache: Dict[bytes, int] = {}
@@ -189,14 +189,18 @@ class HashRing:
         ``replicas[0]`` is the primary; the rest are backups in takeover
         order.  ``count`` is clamped to the ring size.
         """
+        return list(self.replicas(key, count))
+
+    def replicas(self, key: bytes, count: int) -> Tuple[str, ...]:
+        """:meth:`lookup_replicas` as the memoized tuple itself, with no
+        copy: what the router reads on every operation."""
         cached = self._lookup_cache.get((key, count))
-        if cached is not None:
-            return list(cached)
-        clamped = self._clamped(count)
-        index = bisect_right(self._tokens, (key_hash(key),))
-        replicas = self._replicas_from(index, clamped)
-        self._lookup_cache[(key, count)] = replicas
-        return list(replicas)
+        if cached is None:
+            clamped = self._clamped(count)
+            index = bisect_right(self._tokens, (key_hash(key),))
+            cached = tuple(self._replicas_from(index, clamped))
+            self._lookup_cache[(key, count)] = cached
+        return cached
 
     def place_many(self, keys: Sequence[bytes], count: int) -> Dict[str, np.ndarray]:
         """Every member's share of a batch: ``placed[node][i]`` is True

@@ -449,9 +449,8 @@ class ClusterClient:
     def get(self, key: bytes) -> Generator:
         """Process body: routed GET; returns the value or ``None``."""
         for attempt in range(self.service.config.max_op_retries):
-            shard_name = self._healthy_replicas(key)[0]
             result = yield from self._attempt(
-                shard_name, "get", key, None, rerouted=attempt > 0
+                self._first_healthy(key), "get", key, None, rerouted=attempt > 0
             )
             if result is not _TIMED_OUT:
                 return result
@@ -500,12 +499,12 @@ class ClusterClient:
                     )
                 continue
             try:
-                current = set(self._healthy_replicas(key))
+                current = self._healthy_replicas(key)
             except ClusterError:
                 # Everything turned suspect since the last write; the
                 # data is on every replica that was healthy, so ack.
-                current = set()
-            if not current <= set(replicas):
+                current = []
+            if current != replicas and not set(current) <= set(replicas):
                 rechecks += 1
                 if rechecks > max_rechecks:
                     raise ClusterError(
@@ -610,8 +609,7 @@ class ClusterClient:
         txns = service.txns
         groups: Dict[str, List[Tuple[bytes, bytes]]] = {}
         for key, value in ordered:
-            primary = self._healthy_replicas(key)[0]
-            groups.setdefault(primary, []).append((key, value))
+            groups.setdefault(self._first_healthy(key), []).append((key, value))
         failures: List[str] = []
 
         def stage_group(pairs: List[Tuple[bytes, bytes]]) -> Generator:
@@ -645,13 +643,25 @@ class ClusterClient:
         service = self.service
         replicas = [
             shard_name
-            for shard_name in service.replicas_for(key)
+            for shard_name in service.ring.replicas(
+                key, service.config.replication_factor
+            )
             if service.membership.is_routable(shard_name)
             and shard_name not in self._broken
         ]
         if not replicas:
             raise ClusterError(f"no healthy replica for key {key!r}")
         return replicas
+
+    def _first_healthy(self, key: bytes) -> str:
+        """``_healthy_replicas(key)[0]``, read off the ring's memo without
+        building the list."""
+        service = self.service
+        membership = service.membership
+        for shard_name in service.ring.replicas(key, service.config.replication_factor):
+            if membership.is_routable(shard_name) and shard_name not in self._broken:
+                return shard_name
+        raise ClusterError(f"no healthy replica for key {key!r}")
 
     def _attempt(
         self,
@@ -698,12 +708,12 @@ class ClusterClient:
             call.deadline(service.config.op_timeout_us, _TIMED_OUT)
             outcome = yield call.done
             if outcome is not _TIMED_OUT:
-                service.metrics.record_op(
-                    shard_name,
-                    op,
-                    rerouted=rerouted,
-                    token=service.ring.token_of(key),
-                )
+                metrics = service.metrics
+                # Only a rebalance controller reads the per-vnode window.
+                token = None
+                if metrics.attributing_vnodes:
+                    token = service.ring.token_of(key)
+                metrics.record_op(shard_name, op, rerouted, token)
                 return outcome
             # Timed out: this transport is stuck mid-call — never reuse
             # it — and the shard is suspect for everyone.

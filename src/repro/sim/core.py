@@ -26,6 +26,9 @@ split across two structures for speed:
   yielding events (or other processes, which waits for their completion)
   and receives the event's value as the result of the ``yield``
   expression.
+- :meth:`Process.deadline` entries of one delay expire in the order they
+  were armed, so they wait in one FIFO per delay and only the FIFO's
+  head sits in the heap, under the ``(time, seq)`` it was armed with.
 
 ``Simulator(reference=True)`` retains the original single-heap engine
 (zero-delay entries heap-pushed, timeouts built from plain events).  It
@@ -40,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from math import inf
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.atomic import _ATOMIC_STACK
 
@@ -92,6 +95,9 @@ class Simulator:
         #: FIFO of ``(seq, fn, args)`` entries due at the current time.
         self._ready: Deque[Tuple[int, Callable[..., Any], Tuple[Any, ...]]] = deque()
         self._seq = 0
+        #: Deadline FIFOs by delay, of ``(time, seq, done, value)``
+        #: entries (see :meth:`Process.deadline`).
+        self._deadlines: Dict[float, Deque[Tuple[float, int, "Event", Any]]] = {}
         self._running = False
         self._fast = not reference
         #: Total callbacks dispatched across all ``run()`` calls.  The
@@ -501,13 +507,29 @@ class Process:
         """Complete :attr:`done` with ``value`` after ``delay`` unless the
         generator finished first.
 
-        The entry is armed now, before anything the generator schedules,
-        so a completion due at the deadline instant loses the tie.  Past
-        its deadline the generator runs on detached; what it later returns
-        or raises is dropped.  The entry holds :attr:`done`, not the
-        process, so a finished process is freed at once.
+        The entry takes its seq now, before anything the generator
+        schedules, so a completion due at the deadline instant loses the
+        tie.  Past its deadline the generator runs on detached; what it
+        later returns or raises is dropped.  The entry holds :attr:`done`,
+        not the process, so a finished process is freed at once.
+
+        Entries of one delay expire in arming order, so they queue in one
+        FIFO per delay and only its head sits in the heap.  Each live
+        entry dispatches in the ``(time, seq)`` slot it was armed with;
+        one whose ``done`` completed first is dropped undispatched.
         """
-        self.sim.schedule(delay, _expire, self.done, value)
+        # ``not >`` also rejects NaN.
+        if not delay > 0:
+            raise SimulationError(f"deadline delay must be positive (delay={delay})")
+        sim = self.sim
+        sim._seq += 1
+        at = sim.now + delay
+        fifo = sim._deadlines.get(delay)
+        if fifo is None:
+            fifo = sim._deadlines[delay] = deque()
+        if not fifo:
+            heapq.heappush(sim._heap, (at, sim._seq, _expire_head, (sim._heap, fifo)))
+        fifo.append((at, sim._seq, self.done, value))
 
     def _resume(self, event: Event) -> None:
         if event._exc is not None:
@@ -620,10 +642,24 @@ class Process:
             )
 
 
-def _expire(done: Event, value: Any) -> None:
-    """Deadline entry of :meth:`Process.deadline`."""
+def _expire_head(heap: List[Any], fifo: Deque[Tuple[float, int, Event, Any]]) -> None:
+    """Heap entry of a :meth:`Process.deadline` FIFO: expire the head,
+    drop the no-ops behind it, and push the next live entry.
+
+    That entry's ``(time, seq)`` may key the current instant (two
+    deadlines armed at one instant).  It is pushed from a heap dispatch,
+    and every ready entry was scheduled at this instant, after it, so
+    the merge rule still runs it first.
+    """
+    _, _, done, value = fifo.popleft()
     if not done._done:
         done.trigger(value)
+    while fifo:
+        at, seq, done, _ = fifo[0]
+        if not done._done:
+            heapq.heappush(heap, (at, seq, _expire_head, (heap, fifo)))
+            return
+        fifo.popleft()
 
 
 def AnyOf(sim: Simulator, waitables: Iterable[Union["Event", "Process"]]) -> Event:

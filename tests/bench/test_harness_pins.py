@@ -185,5 +185,5 @@ def test_two_phase_ledger_condition_pinned():
     assert dict(result.outcomes[0].metrics) == {
         "pre_mops": 2.973333333333333,
         "post_mops": 2.986666666666667,
-        "dispatched": 21_444,
+        "dispatched": 20_675,
     }

@@ -50,7 +50,7 @@ PINS = {
     ),
     "cluster-failover": (
         3_831,
-        116_713,
+        112_265,
         "50461c8ed2441d816458016b3b798111e093f65c0e3099be377b61337e90afde",
     ),
 }
@@ -59,12 +59,12 @@ PINS = {
 FAILOVER_SEED_PINS = {
     2: (
         3_852,
-        117_059,
+        112_597,
         "b535bd2af0987c1105ddfa64ff26c7b00f18bbbd7156c90e86c82b8916ca165f",
     ),
     3: (
         3_843,
-        116_809,
+        112_354,
         "bc6136843d5f7035e4e87d558ef3b17477352f8d635ab6d6082e2ad076e5d894",
     ),
 }

@@ -25,6 +25,7 @@ from repro.cluster.migration import (
 )
 from repro.core.config import RfpConfig
 from repro.cluster.membership import ShardStatus
+from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.kv.store import StoreCostModel
@@ -238,6 +239,44 @@ class TestRebalanceController:
             service.metrics.window_vnode_ops().get(t, 0) for t in tokens
         )
         assert 0 < shed <= (90 - 0) / 2.0
+
+    @pytest.mark.parametrize("controller", [False, True], ids=["alone", "controlled"])
+    def test_router_attributes_vnodes_only_for_a_controller(
+        self, monkeypatch, controller
+    ):
+        """Only the controller reads the per-vnode window, and it resets
+        the window when it starts: a routed run without one never looks
+        a ring token up, and with one every op is attributed."""
+        looked_up = []
+        real = HashRing.token_of
+
+        def counting(ring, key):
+            looked_up.append(key)
+            return real(ring, key)
+
+        monkeypatch.setattr(HashRing, "token_of", counting)
+        sim, cluster, _, service = make_service()
+        if controller:
+            # Never decides inside the run: the window is only reset.
+            service.start_rebalancer(RebalanceConfig(interval_us=1e6))
+
+        def reader(client, offset):
+            index = offset
+            while True:
+                index += 1
+                yield from client.get(KEYS[index % len(KEYS)])
+
+        for i in range(4):
+            client = service.connect(cluster.machines[3 + i], name=f"c{i}")
+            sim.process(reader(client, 15 * i))
+        sim.run(until=500.0)
+        ops = service.metrics.total_operations()
+        assert ops > 100
+        vnode_ops = service.metrics.window_vnode_ops()
+        if controller:
+            assert len(looked_up) == sum(vnode_ops.values()) == ops
+        else:
+            assert (looked_up, vnode_ops) == ([], {})
 
     def test_control_loop_spreads_a_pinned_hot_set(self, cluster_invariants):
         """End to end: clients hammer one shard's keys; the controller

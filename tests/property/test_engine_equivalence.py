@@ -3,15 +3,21 @@ reference engine on randomly generated process/waitable DAGs.
 
 Hypothesis draws a small program — a set of processes, each a random
 sequence of operations over direct delays, timeouts, shared events,
-``AnyOf``/``AllOf`` composites, and joins on other processes — and runs
-it under ``Simulator()`` and ``Simulator(reference=True)``.  The full
-observable history (every step's ``(process, op, value, now)``), the
-final clock, and the total dispatch count must match exactly.  Delays
-are drawn from a tiny grid so same-timestamp collisions (the regime
-where ordering bugs hide) are common rather than rare.
+``AnyOf``/``AllOf`` composites, joins on other processes and deadline
+races — and runs it under ``Simulator()`` and
+``Simulator(reference=True)``.  The full observable history (every
+step's ``(process, op, value, now)``), the final clock, and the total
+dispatch count must match exactly.  Delays are drawn from a tiny grid so
+same-timestamp collisions (the regime where ordering bugs hide) are
+common rather than rare.
+
+A third run is the oracle for :meth:`Process.deadline`: it arms one
+heap entry per deadline instead of one per delay's FIFO head.  Its
+history must match too; its clock and dispatch count may not, since the
+engine drops the deadlines of finished calls queued behind a head.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import AllOf, AnyOf, Simulator
@@ -19,6 +25,8 @@ from repro.sim.core import AllOf, AnyOf, Simulator
 # A tiny delay grid maximises timestamp collisions; all values are exact
 # binary floats so time arithmetic is bit-reproducible.
 delays = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+# A deadline's delay must be positive.
+deadline_delays = st.sampled_from([0.5, 1.0, 1.5])
 
 # One process body = a sequence of opcodes interpreted by _body below.
 #   ("delay", d)    -> yield d                (direct-delay dispatch path)
@@ -28,6 +36,8 @@ delays = st.sampled_from([0.0, 0.5, 1.0, 1.5])
 #   ("any", d1, d2) -> yield AnyOf(timeout(d1), timeout(d2))
 #   ("all", d1, d2) -> yield AllOf(timeout(d1), timeout(d2))
 #   ("join", j)     -> yield process j        (earlier-started only)
+#   ("deadline", d, work) -> start a child that works ``work``, give it
+#                    a deadline ``d`` and wait on its ``done``
 ops = st.one_of(
     st.tuples(st.just("delay"), delays),
     st.tuples(st.just("timeout"), delays),
@@ -36,6 +46,7 @@ ops = st.one_of(
     st.tuples(st.just("any"), delays, delays),
     st.tuples(st.just("all"), delays, delays),
     st.tuples(st.just("join"), st.integers(0, 5)),
+    st.tuples(st.just("deadline"), deadline_delays, delays),
 )
 
 programs = st.lists(
@@ -43,7 +54,19 @@ programs = st.lists(
 )
 
 
-def _execute(program, reference):
+def _expire(done, value):
+    if not done._done:
+        done.trigger(value)
+
+
+def _work(duration, value):
+    yield duration
+    return value
+
+
+def _execute(program, reference, oracle=False):
+    """Run ``program``; ``oracle`` arms each deadline as its own heap
+    entry instead of through the FIFO."""
     sim = Simulator(reference=reference)
     # Shared events: "trigger" ops fire them, nobody waits unless a
     # "wait" op is drawn; triggered-twice is guarded at the op site.
@@ -85,6 +108,14 @@ def _execute(program, reference):
                 if target < len(processes):
                     value = yield processes[target]
                     history.append((pid, step, value, sim.now))
+            elif kind == "deadline":
+                child = sim.process(_work(opcode[2], (pid, step)))
+                if oracle:
+                    sim.schedule(opcode[1], _expire, child.done, "late")
+                else:
+                    child.deadline(opcode[1], "late")
+                value = yield child.done
+                history.append((pid, step, value, sim.now))
         return pid
 
     for pid, opcodes in enumerate(program):
@@ -99,7 +130,12 @@ def _execute(program, reference):
 class TestEngineEquivalenceProperty:
     @settings(max_examples=120, deadline=None)
     @given(programs)
+    # A deadline armed later than the head of its FIFO, whose call ends
+    # at its instant: it must still win the tie from its own slot.
+    @example([[("deadline", 1.0, 1.5)], [("delay", 0.5), ("deadline", 1.0, 1.0)]])
     def test_fast_engine_matches_reference(self, program):
         fast = _execute(program, reference=False)
         reference = _execute(program, reference=True)
         assert fast == reference
+        history, final, _, _ = _execute(program, reference=True, oracle=True)
+        assert (history, final) == fast[:2]

@@ -337,6 +337,74 @@ class TestProcessDeadline:
             self.race(reference, 3.0, ValueError("early"))
         assert isinstance(info.value.__cause__, ValueError)
 
+    @staticmethod
+    def idle(sim):
+        yield 10.0
+
+    @ENGINES
+    @pytest.mark.parametrize("delay", [0.0, -1.0, NAN])
+    def test_non_positive_or_nan_delay_rejected(self, reference, delay):
+        sim = Simulator(reference=reference)
+        proc = sim.process(self.idle(sim))
+        with pytest.raises(SimulationError, match="deadline delay must be positive"):
+            proc.deadline(delay, "timed out")
+        sim.run()
+        assert (proc.done.value, sim.now) == (None, 10.0)
+
+    @ENGINES
+    def test_equal_deadline_instants_dispatch_in_seq_order(self, reference):
+        """Two deadlines of one delay armed at one instant share a FIFO,
+        so the second reaches the heap only when the first fires, keyed
+        that very instant.  An entry armed between them still runs
+        between them, and the first one's waiter, scheduled when it
+        fired, resumes after both."""
+        sim = Simulator(reference=reference)
+        log = []
+
+        def waiter(sim, proc):
+            log.append(((yield proc.done), sim.now, second.done.triggered))
+
+        first = sim.process(self.idle(sim))
+        first.deadline(2.0, "first")
+        sim.schedule(
+            2.0,
+            lambda: log.append(("between", first.done.triggered, second.done.triggered)),
+        )
+        second = sim.process(self.idle(sim))
+        second.deadline(2.0, "second")
+        sim.process(waiter(sim, first))
+        sim.process(waiter(sim, second))
+        sim.run(until=2.0)
+        assert log == [
+            ("between", True, False),
+            ("first", 2.0, True),
+            ("second", 2.0, True),
+        ]
+
+    @ENGINES
+    def test_finished_calls_deadlines_behind_the_head_are_dropped(self, reference):
+        """The head of a FIFO fires even when its call finished (a no-op
+        dispatch); the finished calls queued behind it go undispatched,
+        and neither ``peek`` nor an unbounded ``run`` sees them."""
+        sim = Simulator(reference=reference)
+
+        def quick(sim):
+            yield 1.0
+
+        def arm_every_half(sim):
+            for _ in range(3):
+                sim.process(quick(sim)).deadline(10.0, "timed out")
+                yield 0.5
+
+        sim.process(arm_every_half(sim))
+        sim.run(until=5.0)
+        assert sim.peek() == 10.0
+        before = sim.dispatched
+        sim.run()
+        # Only the head's entry dispatched; the clock stops at its instant,
+        # not at the last finished call's 11.0.
+        assert (sim.dispatched - before, sim.now, sim.peek()) == (1, 10.0, None)
+
 
 @pytest.fixture()
 def no_collector():

@@ -207,3 +207,23 @@ def test_one_latency_tally_behind_every_measurement():
                 if any(mentions_latency(target) for target in targets):
                     sites.update((path, c.lineno) for c in calls_to(node.value, "Tally"))
     assert [path for path, _ in sorted(sites)] == [CLOSED_LOOP], sorted(sites)
+
+
+ENGINE = os.path.join("src", "repro", "sim", "core.py")
+ENGINE_QUEUES = {"_heap", "_ready", "_seq"}
+
+
+def test_only_the_engine_touches_its_queues():
+    """Every fast path's order argument (the ready deque, the inline
+    resume, the deadline FIFOs) rests on seqs being taken and entries
+    being pushed in ``repro/sim/core.py`` alone: no other module in
+    ``src`` or ``examples`` reads or writes a simulator's ``_heap``,
+    ``_ready`` or ``_seq``."""
+    sites = [
+        (path, node.lineno, node.attr)
+        for path, tree in shipped_code()
+        if path != ENGINE
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ENGINE_QUEUES
+    ]
+    assert sites == [], sites
