@@ -2,7 +2,7 @@
 
 from conftest import column
 
-from repro.bench.breakdown import run_breakdown
+from repro.bench.extensions import run_breakdown
 
 
 def test_latency_breakdown(regenerate):

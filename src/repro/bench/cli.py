@@ -10,12 +10,14 @@ Usage::
 
 An experiment that raises a library error (a breached audit or headline
 check) stops the run with one ``error: <id>: ...`` line and exit 1; the
-sections that finished before it are still appended to ``--out``.
+sections that finished before it are still appended to ``--out``.  An
+unwritable ``--out`` or ``--csv`` is one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -73,6 +75,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         checks = run_validation()
         print(format_validation(checks))
         return 0 if all(check.passed for check in checks) else 1
+
+    try:  # Refuse an unwritable --csv or --out before anything runs.
+        if args.csv:
+            os.makedirs(args.csv, exist_ok=True)
+        if args.out:
+            with open(args.out, "a", encoding="utf-8"):
+                pass
+    except OSError as error:
+        print(
+            f"error: cannot write {error.filename}: {error.strerror}",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.spec:
         import json

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.figures import ExperimentResult, _fmt, _run_exp_spec
+from repro.bench.figures import ExperimentResult, _fmt, _run_exp_spec, _shaped
 from repro.bench.harness import Scale
 from repro.errors import BenchError
 
@@ -84,12 +84,10 @@ def run_ext_cluster_scaling(scale: Scale) -> ExperimentResult:
         ]
         for outcome in result.outcomes
     ]
-    return ExperimentResult(
-        "ext-cluster-scaling",
-        spec.title,
+    return _shaped(
+        spec,
         ["shards", "client_threads", "aggregate_mops"],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"{rows[0][2]} -> {rows[-1][2]} MOPS from "
             f"{rows[0][0]} to {rows[-1][0]} shards"
@@ -129,12 +127,10 @@ def run_ext_cluster_failover(scale: Scale) -> ExperimentResult:
     spec, result = _run_exp_spec("ext-cluster-failover", scale)
     outcome = result.outcome("base")
     rows = _phase_rows(outcome.condition, outcome.metrics)
-    return ExperimentResult(
-        "ext-cluster-failover",
-        spec.title,
+    return _shaped(
+        spec,
         _PHASE_COLUMNS,
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"pre {rows[0][3]} MOPS, dip {rows[1][3]} "
             f"({rows[1][4]}x), post {rows[2][3]} ({rows[2][4]}x); "
@@ -161,12 +157,10 @@ def run_ext_cluster_rejoin(scale: Scale) -> ExperimentResult:
     outcome = result.outcome("base")
     metrics = outcome.metrics
     rows = _phase_rows(outcome.condition, metrics)
-    return ExperimentResult(
-        "ext-cluster-rejoin",
-        spec.title,
+    return _shaped(
+        spec,
         _PHASE_COLUMNS,
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"pre {rows[0][3]} MOPS, outage {rows[2][3]} "
             f"({rows[2][4]}x), post {rows[4][3]} ({rows[4][4]}x); "
@@ -226,9 +220,8 @@ def run_ext_cluster_rebalance(scale: Scale) -> ExperimentResult:
             f"{speedup:.2f}x the no-rebalance baseline {base_post:.3f} "
             "MOPS (bar: 1.5x)"
         )
-    return ExperimentResult(
-        "ext-cluster-rebalance",
-        spec.title,
+    return _shaped(
+        spec,
         [
             "rebalance",
             "phase",
@@ -240,7 +233,6 @@ def run_ext_cluster_rebalance(scale: Scale) -> ExperimentResult:
             "acked_keys",
         ],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"post {_fmt(base_post)} -> {_fmt(rebal_post)} MOPS "
             f"({speedup:.2f}x) after {rebalanced.metrics['migrations']} "
@@ -334,9 +326,8 @@ def run_ext_txn_structures(scale: Scale) -> ExperimentResult:
             f"{top_rfp['queue_mops']:.3f} vs "
             f"{top_one_sided['queue_mops']:.3f} MOPS at {top} clients"
         )
-    return ExperimentResult(
-        "ext-txn-structures",
-        spec.title,
+    return _shaped(
+        spec,
         [
             "structure",
             "queue_clients",
@@ -350,7 +341,6 @@ def run_ext_txn_structures(scale: Scale) -> ExperimentResult:
             "lost_acked_writes",
         ],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"one-sided cost grew {one_sided_costs[0]:.2f} -> "
             f"{one_sided_costs[-1]:.2f} round-trips/op over "

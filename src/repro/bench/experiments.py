@@ -13,13 +13,6 @@ from repro.errors import BenchError
 __all__ = ["EXPERIMENTS", "Experiment", "ExperimentResult", "run_experiment"]
 
 
-def _run_breakdown(scale):
-    # Imported lazily: breakdown pulls the tracer machinery.
-    from repro.bench.breakdown import run_breakdown
-
-    return run_breakdown(scale)
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One registered experiment: id, description, and its runner."""
@@ -93,7 +86,7 @@ def _register() -> Dict[str, Experiment]:
         (
             "breakdown",
             "Per-phase latency decomposition of an RFP call",
-            _run_breakdown,
+            extensions.run_breakdown,
         ),
     ]
     return {

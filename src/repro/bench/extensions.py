@@ -11,23 +11,29 @@
   UC/UD RPC out-rates RC server-reply (cheap datagram issue) but still
   trails RFP, and message loss costs it real throughput through
   timeout/retransmit machinery RFP never needs.
+- ``breakdown`` — each RFP call split into send, server and fetch
+  phases across load: where each microsecond of Fig. 13 lives.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.baselines.herd import HerdServer
-from repro.bench.figures import ExperimentResult, _fmt, _spec
-from repro.bench.harness import Scale, run_controlled_process_time, run_kv
+from repro.bench.figures import (
+    ExperimentResult,
+    _fmt,
+    _run_exp_spec,
+    _shaped,
+    _spec,
+)
+from repro.bench.harness import Scale, run_kv
 from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec, MachineSpec, NicSpec
 from repro.sim.core import Simulator
-from repro.workloads.loop import ClosedLoop, kv_operations, repeat
+from repro.workloads.loop import ClosedLoop, kv_operations
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 
 __all__ = [
     "run_ablation_symmetric",
+    "run_breakdown",
     "run_ext_ud_rpc",
     "run_ext_lock_bypass",
     "SYMMETRIC_CLUSTER",
@@ -153,51 +159,45 @@ def run_ext_lock_bypass(scale: Scale) -> ExperimentResult:
 
 def run_ext_ud_rpc(scale: Scale) -> ExperimentResult:
     """HERD-style UC/UD RPC vs RFP vs server-reply, with and without loss."""
-    rows: List[List] = []
-    rfp = run_controlled_process_time("rfp", 0.2, scale=scale)
-    reply = run_controlled_process_time("serverreply", 0.2, scale=scale)
-    rows.append(["rfp (RC)", 0.0, _fmt(rfp.throughput_mops), 0])
-    rows.append(["server-reply (RC)", 0.0, _fmt(reply.throughput_mops), 0])
-    for loss in (0.0, 0.01, 0.05):
-        sim = Simulator()
-        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
-        server = HerdServer(
-            sim,
-            cluster,
-            handler=lambda p, c: (p, 0.2),
-            threads=6,
-            loss_probability=loss,
-        )
-        window = scale.window_us
-        loop = ClosedLoop(sim, window, window * scale.warmup_fraction)
-        clients = []
-        for index in range(35):
-            client = server.connect(cluster.client_machines[index % 7])
-            clients.append(client)
-            loop.spawn(repeat(client.call, bytes(16)))
-        loop.run()
-        retransmits = sum(c.stats.retransmits.value for c in clients)
-        rows.append(
-            [
-                "herd (UC/UD)",
-                loss,
-                _fmt(loop.mops()),
-                retransmits,
-            ]
-        )
-    return ExperimentResult(
-        "ext-ud-rpc",
-        "Extension: HERD-style UC/UD RPC vs the RC paradigms",
+    spec, result = _run_exp_spec("ext-ud-rpc", scale)
+    systems = {
+        "RFP": "rfp (RC)",
+        "server-reply": "server-reply (RC)",
+        "herd": "herd (UC/UD)",
+    }
+    rows = [
+        [
+            systems[outcome.condition.paradigm],
+            outcome.condition.settings.get("loss_probability", 0.0),
+            _fmt(outcome.metrics["mops"]),
+            outcome.metrics.get("retransmits", 0),
+        ]
+        for outcome in result.outcomes
+    ]
+    return _shaped(
+        spec,
         ["system", "loss_probability", "mops", "retransmits"],
         rows,
-        paper_expectation=(
-            "§5: UD replies out-rate RC server-reply (cheap datagram "
-            "issue) but the server still spends out-bound work, so RFP "
-            "leads; loss forces timeout/retransmit machinery and costs "
-            "throughput"
-        ),
         observations=(
             f"rfp {rows[0][2]} > herd {rows[2][2]} > server-reply "
             f"{rows[1][2]} MOPS at zero loss"
         ),
+    )
+
+
+def run_breakdown(scale: Scale) -> ExperimentResult:
+    """An RFP call's phases across load: a saturated in-bound pipeline
+    shows up in ``fetch``, an overloaded server in ``server``."""
+    spec, result = _run_exp_spec("breakdown", scale)
+    phases = ["send_us", "server_us", "fetch_us", "total_us"]
+    rows = [
+        [outcome.condition.axis["process_us"]]
+        + [_fmt(outcome.metrics[phase]) for phase in phases]
+        for outcome in result.outcomes
+    ]
+    return _shaped(
+        spec,
+        ["process_time_us"] + phases,
+        rows,
+        observations=f"at P={rows[0][0]}: phases {rows[0][1]}/{rows[0][2]}/{rows[0][3]} µs",
     )

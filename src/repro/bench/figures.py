@@ -22,12 +22,7 @@ from repro.bench.calibration import (
     model_inbound_iops,
     outbound_iops_curve,
 )
-from repro.bench.harness import (
-    KvRunResult,
-    Scale,
-    run_controlled_process_time,
-    run_kv,
-)
+from repro.bench.harness import KvRunResult, Scale, run_kv
 from repro.core.config import RfpConfig
 from repro.core.params import derive_retry_bound, derive_size_bounds, select_parameters
 from repro.hw.specs import CONNECTX2, ClusterSpec, MachineSpec
@@ -82,6 +77,28 @@ def _run_exp_spec(experiment_id: str, scale: Scale):
     return spec, runner.run(spec, scale)
 
 
+def _shaped(spec, columns, rows, observations: str) -> ExperimentResult:
+    """Rows shaped from a spec's run, under its id, title and claim."""
+    return ExperimentResult(
+        spec.experiment_id,
+        spec.title,
+        columns,
+        rows,
+        spec.paper_expectation,
+        observations,
+    )
+
+
+def _process_time_rows(result, paradigms) -> List[List]:
+    """One row per process time: ``P``, then each paradigm's MOPS."""
+    mops = {}
+    for outcome in result.outcomes:
+        axis = outcome.condition.axis
+        mops[axis["process_us"], axis["paradigm"]] = outcome.metrics["mops"]
+    times = dict.fromkeys(process_us for process_us, _ in mops)
+    return [[p] + [_fmt(mops[p, name]) for name in paradigms] for p in times]
+
+
 # ----------------------------------------------------------------------
 # §2.2 microbenchmarks
 # ----------------------------------------------------------------------
@@ -103,12 +120,10 @@ def run_fig3(scale: Scale) -> ExperimentResult:
         if "server_threads" in outcome.condition.axis
     ]
     peak_out = max(row[1] for row in rows)
-    return ExperimentResult(
-        "fig3",
-        spec.title,
+    return _shaped(
+        spec,
         ["server_threads", "outbound_mops", "inbound_mops"],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=(
             f"measured out-bound peak {peak_out:.2f} MOPS, in-bound "
             f"{inbound_peak:.2f} MOPS, asymmetry {inbound_peak / peak_out:.1f}x"
@@ -128,12 +143,10 @@ def run_fig4(scale: Scale) -> ExperimentResult:
     ]
     peak = max(row[1] for row in rows)
     tail = rows[-1][1]
-    return ExperimentResult(
-        "fig4",
-        spec.title,
+    return _shaped(
+        spec,
         ["client_threads", "inbound_mops"],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=f"peak {peak:.2f} MOPS; at 70 threads {tail:.2f} MOPS",
     )
 
@@ -196,35 +209,15 @@ def run_fig6(scale: Scale) -> ExperimentResult:
 
 def run_fig9(scale: Scale) -> ExperimentResult:
     """Repeated remote fetching vs server-reply across process time."""
-    times = scale.sweep([1, 3, 5, 7, 8, 10, 12, 15], list(range(1, 16)))
-    config = RfpConfig(fetch_size=16)  # F = S = tiny (1-byte results)
-    rows = []
-    for process_us in times:
-        fetch = run_controlled_process_time(
-            "rfp-no-switch",
-            float(process_us),
-            scale=scale,
-            response_bytes=1,
-            config=config,
-        )
-        reply = run_controlled_process_time(
-            "serverreply", float(process_us), scale=scale, response_bytes=1
-        )
-        rows.append(
-            [process_us, _fmt(fetch.throughput_mops), _fmt(reply.throughput_mops)]
-        )
+    spec, result = _run_exp_spec("fig9", scale)
+    rows = _process_time_rows(result, ("rfp-no-switch", "server-reply"))
     crossover = next(
         (row[0] for row in rows if row[1] <= 1.10 * row[2]), rows[-1][0]
     )
-    return ExperimentResult(
-        "fig9",
-        "Repeated remote fetching vs server-reply vs process time",
+    return _shaped(
+        spec,
         ["process_time_us", "remote_fetch_mops", "server_reply_mops"],
         rows,
-        paper_expectation=(
-            "fetching wins below ~7 us of process time (within 10% above), "
-            "server-reply flat at ~2.1 MOPS"
-        ),
         observations=f"gain drops within 10% at P ≈ {crossover} µs",
     )
 
@@ -426,33 +419,12 @@ def run_fig13(scale: Scale) -> ExperimentResult:
 
 def run_fig14(scale: Scale) -> ExperimentResult:
     """Jakiro vs ServerReply vs Jakiro-without-switch across process time."""
-    times = scale.sweep([1, 3, 5, 7, 9, 12], list(range(1, 13)))
-    rows = []
-    for process_us in times:
-        rfp = run_controlled_process_time("rfp", float(process_us), scale=scale)
-        reply = run_controlled_process_time(
-            "serverreply", float(process_us), scale=scale
-        )
-        pure = run_controlled_process_time(
-            "rfp-no-switch", float(process_us), scale=scale
-        )
-        rows.append(
-            [
-                process_us,
-                _fmt(rfp.throughput_mops),
-                _fmt(reply.throughput_mops),
-                _fmt(pure.throughput_mops),
-            ]
-        )
-    return ExperimentResult(
-        "fig14",
-        "Hybrid switch: throughput vs request process time",
+    spec, result = _run_exp_spec("fig14", scale)
+    rows = _process_time_rows(result, ("RFP", "server-reply", "rfp-no-switch"))
+    return _shaped(
+        spec,
         ["process_time_us", "jakiro_mops", "serverreply_mops", "jakiro_no_switch_mops"],
         rows,
-        paper_expectation=(
-            "Jakiro 30-320% above ServerReply below 7 µs; comparable at and "
-            "above 7 µs once RFP switches to server-reply"
-        ),
         observations=(
             f"at P=1: {rows[0][1]} vs {rows[0][2]} MOPS; at P={rows[-1][0]}: "
             f"{rows[-1][1]} vs {rows[-1][2]} MOPS"
@@ -462,26 +434,19 @@ def run_fig14(scale: Scale) -> ExperimentResult:
 
 def run_fig15(scale: Scale) -> ExperimentResult:
     """Client CPU utilization across process time (the hybrid's point)."""
-    times = scale.sweep([1, 3, 5, 7, 9, 12], list(range(1, 13)))
-    rows = []
-    for process_us in times:
-        rfp = run_controlled_process_time("rfp", float(process_us), scale=scale)
-        rows.append(
-            [
-                process_us,
-                _fmt(100.0 * rfp.client_cpu_utilization),
-                int(rfp.extras.get("clients_in_reply_mode", 0)),
-            ]
-        )
-    return ExperimentResult(
-        "fig15",
-        "Jakiro client CPU utilization vs process time",
+    spec, result = _run_exp_spec("fig15", scale)
+    rows = [
+        [
+            outcome.condition.axis["process_us"],
+            _fmt(100.0 * outcome.metrics["client_cpu_utilization"]),
+            int(outcome.metrics["clients_in_reply_mode"]),
+        ]
+        for outcome in result.outcomes
+    ]
+    return _shaped(
+        spec,
         ["process_time_us", "client_cpu_percent", "clients_in_reply_mode"],
         rows,
-        paper_expectation=(
-            "~100% while remote fetching (P < 7 µs); drops below 30% once "
-            "the client switches to server-reply"
-        ),
         observations=(
             f"{rows[0][1]}% at P={rows[0][0]} µs vs {rows[-1][1]}% at "
             f"P={rows[-1][0]} µs"
@@ -697,11 +662,9 @@ def run_tab1(scale: Scale) -> ExperimentResult:
         ]
         for paradigm in _TAB1_GRID
     ]
-    return ExperimentResult(
-        "tab1",
-        spec.title,
+    return _shaped(
+        spec,
         ["paradigm", "request_send", "request_process", "result_return", "mops"],
         rows,
-        paper_expectation=spec.paper_expectation,
         observations=f"RFP {rows[2][4]} MOPS tops the grid",
     )

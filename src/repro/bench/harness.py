@@ -198,16 +198,12 @@ def run_controlled_process_time(
     loop.run()
 
     busy = sum(c.stats.busy.busy_time for c in clients)
-    attempts = [
-        int(a) for c in clients for a in c.stats.fetch_attempts.samples
-    ]
     in_reply_mode = sum(1 for c in clients if c.policy.mode is Mode.SERVER_REPLY)
     return KvRunResult(
         system=mode,
         throughput_mops=loop.mops(),
         latency_us=np.array(loop.latency_us.samples, dtype=float),
         client_cpu_utilization=min(1.0, busy / (client_threads * window)),
-        fetch_attempts=attempts,
         replies_sent=server.stats.replies_sent.value,
         requests_served=server.stats.requests.value,
         operations_completed=loop.completions(),

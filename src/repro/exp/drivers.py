@@ -10,9 +10,9 @@ Five drivers cover the migrated benchmarks:
 
 - ``raw-verbs`` — the §2.2 microbenchmarks: bare synchronous RDMA
   read/write loops (figs. 3-4).
-- ``paradigm`` — the Table 1 design-choice grid: RDTSC-controlled echo
-  RPC per paradigm, plus the synthetic server-bypass corner with its
-  access amplification.
+- ``paradigm`` — RDTSC-controlled echo RPC per paradigm (Table 1, Figs.
+  9, 14 and 15, the breakdown), HERD-style UC/UD RPC, and the synthetic
+  server-bypass corner with its access amplification.
 - ``kv`` — one closed-loop KV run (any registered system) under a YCSB
   workload; ``python -m repro.bench --spec`` runs on it.
 - ``cluster`` — the full sharded-cluster machinery the three
@@ -33,9 +33,12 @@ Five drivers cover the migrated benchmarks:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from repro.baselines.herd import HerdServer
 from repro.bench.calibration import (
     measure_bypass,
     measure_inbound_iops,
@@ -58,8 +61,8 @@ from repro.hw.cluster import build_cluster
 from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
 from repro.kv.store import StoreCostModel
 from repro.sim.random import seeded_rng
-from repro.sim.trace import Tracer
-from repro.workloads.loop import ClosedLoop, kv_operations
+from repro.sim.trace import TraceEvent, Tracer
+from repro.workloads.loop import ClosedLoop, kv_operations, repeat
 from repro.workloads.value_sizes import FixedValues
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 from repro.workloads.zipf import ZipfSampler, pin_hot_ranks
@@ -102,16 +105,14 @@ def run_raw_verbs(ctx: ConditionContext) -> Mapping[str, object]:
 
 
 # ----------------------------------------------------------------------
-# paradigm: the Table 1 grid (controlled echo RPC + bypass corner)
+# paradigm: controlled echo RPC per paradigm, HERD, and the bypass corner
 # ----------------------------------------------------------------------
 
-#: Table 1 row -> (controlled-run mode, forced process time or None).
+#: Paradigm -> (controlled-run mode, forced process time or None).
 _PARADIGM_MODES = {
     "RFP": ("rfp", None),
-    "rfp": ("rfp", None),
     "rfp-no-switch": ("rfp-no-switch", None),
     "server-reply": ("serverreply", None),
-    "serverreply": ("serverreply", None),
     # Server bypassed for processing yet replying out-bound: at best it
     # behaves like server-reply with zero process time, i.e. it inherits
     # the out-bound ceiling with no compensation.
@@ -132,15 +133,98 @@ def _run_bypass_corner(ctx: ConditionContext) -> Mapping[str, object]:
     return {"mops": run.mops, "operations": run.requests}
 
 
+def _run_herd(ctx: ConditionContext) -> Mapping[str, object]:
+    """HERD-style UC/UD echo RPC, optionally over a lossy fabric (§5)."""
+    condition = ctx.condition
+    sim = ctx.make_simulator()
+    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+    response = bytes(condition.workload.response_bytes)
+    process_us = condition.workload.process_us
+    server = HerdServer(
+        sim,
+        cluster,
+        handler=lambda payload, context: (response, process_us),
+        threads=condition.topology.server_threads,
+        loss_probability=float(condition.settings.get("loss_probability", 0.0)),
+    )
+    window = condition.scale.window_us
+    loop = ClosedLoop(sim, window, window * condition.scale.warmup_fraction)
+    machines = cluster.client_machines
+    clients = []
+    for index in range(condition.topology.client_threads):
+        client = server.connect(machines[index % len(machines)])
+        clients.append(client)
+        loop.spawn(repeat(client.call, bytes(16)))
+    loop.run()
+    return {
+        "mops": loop.mops(),
+        "operations": loop.completions(),
+        "retransmits": sum(c.stats.retransmits.value for c in clients),
+    }
+
+
+class _PhaseSplit:
+    """Each call's send (to the request write's completion), server (to
+    the response's publication) and fetch (to the result in hand) phase.
+
+    Marks pair by ``(channel, seq)``: clients share names, channels do
+    not.  A call starts ``latency_us`` before its ``call_done`` mark.
+    Every call of the run counts, warm-up included.
+    """
+
+    def __init__(self) -> None:
+        self._sent: Dict[Tuple[int, int], float] = {}
+        self._published: Dict[Tuple[int, int], float] = {}
+        self._phases: Tuple[List[float], ...] = ([], [], [], [])
+
+    def observe(self, event: TraceEvent) -> None:
+        data = event.data
+        if event.label == "request_sent":
+            self._sent[(data["channel"], data["seq"])] = event.at_us
+        elif event.label == "response_published":
+            self._published[(data["client"], data["seq"])] = event.at_us
+        elif event.label == "call_done":
+            key = (data["channel"], data["seq"])
+            send_done = self._sent.pop(key, None)
+            publish = self._published.pop(key, None)
+            if send_done is not None and publish is not None:
+                done, latency = event.at_us, data["latency_us"]
+                sends, servers, fetches, totals = self._phases
+                sends.append(send_done - (done - latency))
+                servers.append(publish - send_done)
+                fetches.append(done - publish)
+                totals.append(latency)
+
+    def metrics(self, window_us: float) -> Dict[str, object]:
+        """Mean phases in ``call_done`` order (``np.mean``, not running
+        sums, so the last bits do not depend on the summation order)."""
+        sends, servers, fetches, totals = self._phases
+        if not totals:
+            raise BenchError(f"no complete calls traced in a {window_us} us window")
+        return {
+            "send_us": float(np.mean(sends)),
+            "server_us": float(np.mean(servers)),
+            "fetch_us": float(np.mean(fetches)),
+            "total_us": float(np.mean(totals)),
+            "split_calls": len(totals),
+        }
+
+
 def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
+    """One paradigm condition.  An RC one publishes an RFP tracer that
+    stores nothing, with the configuration the run really uses, for the
+    checker and the phase split; HERD and the bypass corner speak no RFP.
+    """
     condition = ctx.condition
     if condition.paradigm == "server-bypass":
         return _run_bypass_corner(ctx)
+    if condition.paradigm == "herd":
+        return _run_herd(ctx)
     entry = _PARADIGM_MODES.get(condition.paradigm)
     if entry is None:
         raise ExpError(
             f"unknown paradigm {condition.paradigm!r}; options: "
-            f"{sorted(_PARADIGM_MODES) + ['server-bypass']}"
+            f"{sorted(_PARADIGM_MODES) + ['herd', 'server-bypass']}"
         )
     mode, forced_process_us = entry
     process_us = (
@@ -148,21 +232,38 @@ def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
         if forced_process_us is not None
         else condition.workload.process_us
     )
+    config = RfpConfig(
+        fetch_size=int(condition.settings.get("fetch_size", RfpConfig.fetch_size))
+    )
+    checked = config if mode == "rfp" else replace(config, hybrid_enabled=False)
+    sim = ctx.make_simulator()
+    tracer = ctx.publish_tracer(
+        "rfp",
+        Tracer(sim, categories=[]),
+        "server-reply" if mode == "serverreply" else "rfp",
+        rfp_config=checked,
+    )
+    split = _PhaseSplit()
+    tracer.subscribe(split.observe)
     result = run_controlled_process_time(
         mode,
-        process_us,
+        float(process_us),
         server_threads=condition.topology.server_threads,
         client_threads=condition.topology.client_threads,
         scale=condition.scale,
         response_bytes=condition.workload.response_bytes,
-        sim=ctx.make_simulator(),
+        config=config,
+        sim=sim,
+        tracer=tracer,
     )
     return {
         "mops": result.throughput_mops,
         "operations": result.operations_completed,
         "replies_sent": result.replies_sent,
         "requests_served": result.requests_served,
-        "clients_in_reply_mode": result.extras.get("clients_in_reply_mode", 0.0),
+        "clients_in_reply_mode": result.extras["clients_in_reply_mode"],
+        "client_cpu_utilization": result.client_cpu_utilization,
+        **split.metrics(condition.scale.window_us),
     }
 
 
@@ -287,10 +388,8 @@ def run_cluster(ctx: ConditionContext) -> Mapping[str, object]:
             f"shard{i}": ctx.publish_tracer(
                 f"shard{i}",
                 Tracer(sim, capacity=1),
-                "shard",
-                rfp_config=RfpConfig(consecutive_slow_calls=int(slow_calls))
-                if slow_calls is not None
-                else None,
+                "rfp",
+                rfp_config=rfp_config,
             )
             for i in range(topology.shards)
         }

@@ -42,6 +42,9 @@ _CRASH_BASE: Dict[str, object] = {
     "consecutive_slow_calls": 1,
 }
 
+#: Figs. 14 and 15 sweep the same process times (µs).
+_PROCESS_TIMES = Sweep((1, 3, 5, 7, 9, 12), tuple(range(1, 13)))
+
 SPECS: Dict[str, ExperimentSpec] = {
     "fig3": ExperimentSpec(
         experiment_id="fig3",
@@ -97,6 +100,82 @@ SPECS: Dict[str, ExperimentSpec] = {
             "RFP dominates: server-reply capped by out-bound (~2.1); bypass "
             "loses to amplification; the bypassed+out-bound corner gains "
             "nothing over server-reply"
+        ),
+    ),
+    "fig9": ExperimentSpec(
+        experiment_id="fig9",
+        title="Repeated remote fetching vs server-reply vs process time",
+        driver="paradigm",
+        # F = S = tiny: 1-byte results fetched 16 bytes at a time.
+        base={"server_threads": 16, "response_bytes": 1, "fetch_size": 16},
+        axes={
+            "process_us": Sweep((1, 3, 5, 7, 8, 10, 12, 15), tuple(range(1, 16))),
+            "paradigm": ("rfp-no-switch", "server-reply"),
+        },
+        paper_expectation=(
+            "fetching wins below ~7 us of process time (within 10% above), "
+            "server-reply flat at ~2.1 MOPS"
+        ),
+    ),
+    "fig14": ExperimentSpec(
+        experiment_id="fig14",
+        title="Hybrid switch: throughput vs request process time",
+        driver="paradigm",
+        base={"server_threads": 16},
+        axes={
+            "process_us": _PROCESS_TIMES,
+            "paradigm": ("RFP", "server-reply", "rfp-no-switch"),
+        },
+        paper_expectation=(
+            "Jakiro 30-320% above ServerReply below 7 µs; comparable at and "
+            "above 7 µs once RFP switches to server-reply"
+        ),
+    ),
+    "fig15": ExperimentSpec(
+        experiment_id="fig15",
+        title="Jakiro client CPU utilization vs process time",
+        driver="paradigm",
+        base={"server_threads": 16, "paradigm": "RFP"},
+        axes={"process_us": _PROCESS_TIMES},
+        paper_expectation=(
+            "~100% while remote fetching (P < 7 µs); drops below 30% once "
+            "the client switches to server-reply"
+        ),
+    ),
+    "ext-ud-rpc": ExperimentSpec(
+        experiment_id="ext-ud-rpc",
+        title="Extension: HERD-style UC/UD RPC vs the RC paradigms",
+        driver="paradigm",
+        base={"server_threads": 16, "process_us": 0.2},
+        axes={"paradigm": ("RFP", "server-reply")},
+        # HERD's six server threads echo the 16-byte request.
+        extras=tuple(
+            {
+                "paradigm": "herd",
+                "server_threads": 6,
+                "response_bytes": 16,
+                "loss_probability": loss,
+            }
+            for loss in (0.0, 0.01, 0.05)
+        ),
+        setting_axes=("loss_probability",),
+        paper_expectation=(
+            "§5: UD replies out-rate RC server-reply (cheap datagram "
+            "issue) but the server still spends out-bound work, so RFP "
+            "leads; loss forces timeout/retransmit machinery and costs "
+            "throughput"
+        ),
+    ),
+    "breakdown": ExperimentSpec(
+        experiment_id="breakdown",
+        title="Per-phase latency decomposition of an RFP call",
+        driver="paradigm",
+        base={"paradigm": "RFP"},
+        axes={"process_us": Sweep((0.2, 2.0, 5.0), (0.2, 1.0, 2.0, 3.0, 5.0))},
+        paper_expectation=(
+            "not a paper figure — explains Fig. 13: at peak load most of "
+            "the latency sits in the server phase (queueing for worker "
+            "threads), while send and fetch stay near their unloaded costs"
         ),
     ),
     "ext-cluster-scaling": ExperimentSpec(

@@ -21,6 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, TextIO, Tuple
 
 from repro.core.config import RfpConfig
+from repro.core.mode import Mode
 from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
 
@@ -65,7 +66,9 @@ class RunObserver:
         kind: str,
         rfp_config: Optional[RfpConfig],
     ) -> None:
-        """A driver published a tracer (``kind`` is ``cluster``/``shard``)."""
+        """A driver published a tracer: ``kind`` is ``cluster``, ``rfp``
+        or ``server-reply`` (RFP channels pinned to server-reply), and
+        ``rfp_config`` is what the traced RFP channels run with."""
 
     def condition_finished(
         self,
@@ -114,10 +117,10 @@ class InvariantObserver(RunObserver):
 
         if kind == "cluster":
             checker = ClusterInvariantChecker().attach(tracer)
-        elif kind == "shard":
-            checker = RfpInvariantChecker(
-                config=rfp_config if rfp_config is not None else RfpConfig()
-            ).attach(tracer)
+        elif kind in ("rfp", "server-reply"):
+            mode = Mode.SERVER_REPLY if kind == "server-reply" else Mode.REMOTE_FETCH
+            checker = RfpInvariantChecker(rfp_config, initial_mode=mode)
+            checker.attach(tracer)
         else:
             return
         context.register_checker(name, checker)

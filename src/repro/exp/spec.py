@@ -247,7 +247,7 @@ class ExperimentSpec:
     #: topology fields; they route into ``Condition.settings`` like any
     #: unrecognized base key, but declaring them here lets the spec
     #: sweep them (e.g. ``rebalance`` on/off) without tripping the
-    #: unknown-axis guard below.
+    #: unknown-axis guard below; they also name an extra in its label.
     setting_axes: Tuple[str, ...] = ()
     paper_expectation: str = ""
 
@@ -299,6 +299,7 @@ class ExperimentSpec:
                 key: value
                 for key, value in extra.items()
                 if key in _RESERVED | _WORKLOAD_FIELDS | _TOPOLOGY_FIELDS
+                or key in self.setting_axes
             }
             conditions.append(
                 _route(self.experiment_id, _axis_label(axis), merged, axis, scale)

@@ -26,6 +26,7 @@ __all__ = ["SUITES", "check_exp_registry", "run_suite", "suite_artifact_path"]
 #: Suite name -> ordered spec ids.  The artifact is ``BENCH_<suite>.json``.
 SUITES: Dict[str, Tuple[str, ...]] = {
     "core": ("fig3", "fig4", "tab1"),
+    "paper": ("fig9", "fig14", "fig15", "ext-ud-rpc", "breakdown"),
     "cluster": (
         "ext-cluster-scaling",
         "ext-cluster-failover",

@@ -15,12 +15,11 @@ Cost model (what one ``record()`` call pays):
   only need a tracer to satisfy a component signature opt out this way.
 - **Observers subscribed** (invariant checkers): every offered event is
   materialized and dispatched to every observer — observers always see
-  100% of the stream, before the category filter, unaffected by
-  sampling and ring-buffer eviction.
+  100% of the stream, before the category filter and unaffected by
+  ring-buffer eviction.
 - **Storage**: events of wanted categories are counted exactly and
-  stored every ``sample_every``-th occurrence (default 1 = store all).
-  Sampling thins the ring buffer, never the counts and never the
-  observers, so pinned event-count assertions stay exact.
+  stored; ``categories=[]`` stores nothing while observers still see
+  every event.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ class Tracer:
         still see every offered event.  A disabled tracer with no
         observers rejects every event with a single flag check, making
         invariant checking opt-in per bench instead of a per-op tax.
-    sample_every:
-        Store every Nth wanted event into the ring buffer (default 1 =
-        store everything).  Counts stay exact and observers see 100%.
     """
 
     def __init__(
@@ -83,12 +79,9 @@ class Tracer:
         capacity: Optional[int] = None,
         *,
         enabled: bool = True,
-        sample_every: int = 1,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ReproError(f"capacity must be >= 1, got {capacity}")
-        if sample_every < 1:
-            raise ReproError(f"sample_every must be >= 1, got {sample_every}")
         self.sim = sim
         self._categories: Optional[Set[str]] = (
             set(categories) if categories is not None else None
@@ -97,8 +90,6 @@ class Tracer:
         self._counts: TallyCounter[str] = TallyCounter()
         self._observers: List[Callable[[TraceEvent], None]] = []
         self._enabled = bool(enabled)
-        self._sample_every = int(sample_every)
-        self._sample_skip = 0
         #: Hot-path guard: false only when a record() call could not
         #: possibly have an effect (disabled, no observers).
         self._hot = self._enabled
@@ -107,11 +98,6 @@ class Tracer:
     def enabled(self) -> bool:
         """True while counting/storage is on (observers are unaffected)."""
         return self._enabled
-
-    @property
-    def sample_every(self) -> int:
-        """Ring-buffer sampling stride (1 = store every wanted event)."""
-        return self._sample_every
 
     def wants(self, category: str) -> bool:
         """True when this tracer records ``category`` (hot-path guard).
@@ -128,9 +114,9 @@ class Tracer:
         """Register a live observer (e.g. an invariant checker).
 
         Observers see every event offered to :meth:`record` — before the
-        category filter, unaffected by sampling and by ring-buffer
-        eviction — so a checker never misses a protocol step just
-        because the stored trace is trimmed.
+        category filter and unaffected by ring-buffer eviction — so a
+        checker never misses a protocol step just because the stored
+        trace is trimmed.
         """
         self._observers.append(observer)
         self._hot = True
@@ -154,11 +140,6 @@ class Tracer:
                 return
             event = TraceEvent(self.sim.now, category, label, data)
         self._counts[category] += 1
-        skip = self._sample_skip + 1
-        if skip < self._sample_every:
-            self._sample_skip = skip
-            return
-        self._sample_skip = 0
         self._events.append(event)
 
     # ------------------------------------------------------------------
@@ -181,9 +162,8 @@ class Tracer:
         ]
 
     def counts(self) -> Dict[str, int]:
-        """Events recorded per category (including ring-evicted and
-        sampling-skipped ones — counts are exact even when storage is
-        thinned)."""
+        """Events recorded per category (including ring-evicted ones —
+        counts are exact even when storage is trimmed)."""
         return dict(self._counts)
 
     def __len__(self) -> int:

@@ -9,9 +9,9 @@ SHA-256 over the float64 latency samples.
 
 The raw-verb probes and the bypass measurement return MOPS, not samples,
 so their pins are the exact MOPS (completions over the measured window)
-with the dispatch count; the cluster driver's pins are its metrics.  A
-change that keeps every modeled number keeps these; a change that moves
-the model on purpose updates them and says why.
+with the dispatch count; the paradigm and cluster drivers' pins are
+their metrics.  A change that keeps every modeled number keeps these; a
+change that moves the model on purpose updates them and says why.
 """
 
 import hashlib
@@ -19,13 +19,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bench.breakdown import PhaseBreakdown, measure_breakdown
 from repro.bench.calibration import (
     measure_bypass,
     measure_inbound_iops,
     measure_outbound_iops,
 )
 from repro.bench.harness import Scale, run_controlled_process_time, run_kv
+from repro.exp.observers import RunObserver
 from repro.exp.runner import ExperimentRunner, default_observers
 from repro.exp.spec import ExperimentSpec, Phase
 from repro.sim import Simulator
@@ -135,16 +135,72 @@ def test_controlled_process_time_pinned(mode):
     ) == CONTROLLED_PINS[mode]
 
 
+class _LastContext(RunObserver):
+    """Keeps the finished condition's context: simulator and checkers."""
+
+    def condition_finished(self, context, outcome, index, total):
+        self.context = context
+
+
+def run_paradigm_condition(**base):
+    """One checked ``paradigm`` condition at TINY scale."""
+    last = _LastContext()
+    spec = ExperimentSpec(
+        experiment_id="pin-paradigm", title="paradigm", driver="paradigm", base=base
+    )
+    runner = ExperimentRunner(observers=(*default_observers(), last))
+    (outcome,) = runner.run(spec, TINY).outcomes
+    return outcome.metrics, last.context
+
+
 def test_breakdown_pinned():
     # The phases are stitched from the echo run's trace by (channel, seq);
     # any mispairing moves them even though they still sum to the total.
-    assert measure_breakdown(2.0, scale=TINY) == PhaseBreakdown(
-        send_us=2.786078534114875,
-        server_us=8.128498881150362,
-        fetch_us=2.259371170853017,
-        total_us=13.173948586118252,
-        calls=778,
+    metrics, _ = run_paradigm_condition(paradigm="RFP", process_us=2.0)
+    assert {
+        name: metrics[name]
+        for name in ("send_us", "server_us", "fetch_us", "total_us", "split_calls")
+    } == {
+        "send_us": 2.786078534114875,
+        "server_us": 8.128498881150362,
+        "fetch_us": 2.259371170853017,
+        "total_us": 13.173948586118252,
+        "split_calls": 778,
+    }
+
+
+def test_herd_condition_pinned():
+    # ext-ud-rpc's lossiest HERD condition; HERD publishes no RFP trace.
+    metrics, context = run_paradigm_condition(
+        paradigm="herd",
+        process_us=0.2,
+        server_threads=6,
+        response_bytes=16,
+        loss_probability=0.05,
     )
+    assert (
+        metrics["operations"],
+        context.simulator.dispatched,
+        metrics["retransmits"],
+    ) == (808, 27_450, 123)
+    assert context.tracers == {}
+
+
+def test_serverreply_condition_runs_checked():
+    # Fig. 9's server-reply side at P = 1 us.  Its channels are checked
+    # from SERVER_REPLY with F = 16: from REMOTE_FETCH, every pushed
+    # reply would be a violation.
+    metrics, context = run_paradigm_condition(
+        paradigm="server-reply",
+        process_us=1.0,
+        server_threads=16,
+        response_bytes=1,
+        fetch_size=16,
+    )
+    assert (metrics["operations"], context.simulator.dispatched) == (424, 11_728)
+    checker = context.checkers["rfp"]
+    assert checker.config.fetch_size == 16
+    assert (checker.events_checked, checker.violations) == (2_890, [])
 
 
 def test_raw_verb_probes_pinned():

@@ -160,3 +160,36 @@ class TestBenchCli:
         ]
         assert "Traceback" not in err
         assert "== quick: Quick ==" in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("branch", ["experiments", "spec"])
+    def test_unwritable_output_refused_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, flag, branch
+    ):
+        import repro.bench.custom
+        from repro.bench.cli import main as bench_main
+        from repro.bench.experiments import EXPERIMENTS, Experiment
+
+        ran = []
+
+        def record(*args):
+            ran.append(args)
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "quick", Experiment("quick", "Quick", record)
+        )
+        monkeypatch.setattr(repro.bench.custom, "run_custom", record)
+        # --out under a missing directory; --csv naming an existing file.
+        if flag == "--out":
+            target = str(tmp_path / "no" / "such" / "x.txt")
+        else:
+            target = str(tmp_path / "taken.txt")
+            (tmp_path / "taken.txt").write_text("", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"systems": ["jakiro"]}), encoding="utf-8")
+        argv = ["quick"] if branch == "experiments" else ["--spec", str(spec)]
+        assert bench_main(argv + [flag, target]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert ran == []

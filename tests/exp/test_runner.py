@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.harness import Scale
+from repro.core.mode import Mode
 from repro.errors import ExpError
 from repro.exp.observers import (
     InvariantObserver,
@@ -116,7 +117,10 @@ class TestObservers:
             context.publish_tracer(
                 "cluster", Tracer(sim, categories=["cluster"]), "cluster"
             )
-            context.publish_tracer("shard0", Tracer(sim, capacity=1), "shard")
+            context.publish_tracer("shard0", Tracer(sim, capacity=1), "rfp")
+            context.publish_tracer(
+                "reply0", Tracer(sim, capacity=1), "server-reply"
+            )
             kinds.update(context.checkers)
             return {"ok": 1}
 
@@ -124,7 +128,10 @@ class TestObservers:
             observers=[InvariantObserver()], drivers={"fake": publisher}
         )
         runner.run(toy_spec(), FAST)  # assert_clean on idle checkers passes
-        assert set(kinds) == {"cluster", "shard0"}
+        assert set(kinds) == {"cluster", "shard0", "reply0"}
+        # Server-reply channels are checked from the mode they start in.
+        assert kinds["shard0"].initial_mode is Mode.REMOTE_FETCH
+        assert kinds["reply0"].initial_mode is Mode.SERVER_REPLY
 
     def test_progress_observer_writes_one_line_per_condition(self):
         import io

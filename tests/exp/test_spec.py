@@ -105,6 +105,24 @@ class TestExpansion:
         with pytest.raises(ExpError, match="duplicate condition label"):
             spec.expand(FAST)
 
+    def test_setting_axes_keys_name_extras(self):
+        # Extras that differ only in a driver-read knob stay distinct
+        # when the knob is declared a setting axis.
+        spec = toy(
+            extras=(
+                {"paradigm": "herd", "loss_probability": 0.0},
+                {"paradigm": "herd", "loss_probability": 0.05},
+            ),
+            setting_axes=("loss_probability",),
+        )
+        conditions = spec.expand(FAST)
+        assert [c.label for c in conditions] == [
+            "base",
+            "paradigm=herd,loss_probability=0.0",
+            "paradigm=herd,loss_probability=0.05",
+        ]
+        assert conditions[2].settings == {"loss_probability": 0.05}
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ExpError, match="empty"):
             toy(axes={"server_threads": ()}).expand(FAST)

@@ -1,5 +1,6 @@
 """Suite registry closure and real-driver determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.errors import ExpError
 from repro.exp.artifact import build_payload, deterministic_view
 from repro.exp.library import SPECS
 from repro.exp.runner import ExperimentRunner, default_observers
+from repro.exp.spec import Sweep
 from repro.exp.suites import (
     SUITES,
     check_exp_registry,
@@ -48,6 +50,28 @@ class TestRealDriverDeterminism:
         for _ in range(2):
             runner = ExperimentRunner(observers=default_observers())
             payload = build_payload("t", [runner.run(spec, scale)], scale)
+            views.append(
+                json.dumps(deterministic_view(payload), sort_keys=True)
+            )
+        assert views[0] == views[1]
+
+    @pytest.mark.parametrize("spec_id", SUITES["paper"])
+    def test_paper_spec_condition_is_byte_deterministic(self, spec_id):
+        # One condition of each paper spec, twice at a 300 us window:
+        # BENCH_paper.json is gated without running the suite.
+        spec = SPECS[spec_id]
+        tiny = Scale(window_us=300.0, records=256)
+        first_point = {
+            name: (
+                values.resolve(tiny) if isinstance(values, Sweep) else tuple(values)
+            )[:1]
+            for name, values in spec.axes.items()
+        }
+        one = dataclasses.replace(spec, axes=first_point, extras=())
+        views = []
+        for _ in range(2):
+            runner = ExperimentRunner(observers=default_observers())
+            payload = build_payload("t", [runner.run(one, tiny)], tiny)
             views.append(
                 json.dumps(deterministic_view(payload), sort_keys=True)
             )
