@@ -449,8 +449,9 @@ class ClusterClient:
     def get(self, key: bytes) -> Generator:
         """Process body: routed GET; returns the value or ``None``."""
         for attempt in range(self.service.config.max_op_retries):
+            shard_name = self._first_healthy(key)
             result = yield from self._attempt(
-                self._first_healthy(key), "get", key, None, rerouted=attempt > 0
+                shard_name, "get", key, None, rerouted=attempt > 0, fresh=True
             )
             if result is not _TIMED_OUT:
                 return result
@@ -483,9 +484,10 @@ class ClusterClient:
         while True:
             replicas = self._healthy_replicas(key)
             timed_out = False
-            for shard_name in replicas:
+            for index, shard_name in enumerate(replicas):
+                # Later replicas follow the first attempt's yields.
                 result = yield from self._attempt(
-                    shard_name, "put", key, value, rerouted=attempts > 0
+                    shard_name, "put", key, value, rerouted=attempts > 0, fresh=not index
                 )
                 if result is _TIMED_OUT:
                     timed_out = True
@@ -670,8 +672,12 @@ class ClusterClient:
         key: bytes,
         value: Optional[bytes],
         rerouted: bool = False,
+        fresh: bool = False,
     ) -> Generator:
         """One guarded attempt against one shard.
+
+        ``fresh``: the caller found the shard routable and not broken
+        with no yield since, so only a wait for the lock forces a check.
 
         Returns the RPC result, or :data:`_TIMED_OUT` after marking the
         shard suspect (the caller re-routes).  The underlying call keeps
@@ -684,12 +690,15 @@ class ClusterClient:
         grant = lock.acquire()
         if grant is not None:
             yield grant
+            fresh = False
         try:
-            if shard_name in self._broken or not service.membership.is_routable(
-                shard_name
+            if not fresh and (
+                shard_name in self._broken
+                or not service.membership.is_routable(shard_name)
             ):
                 # The shard failed while this operation queued behind the
-                # per-shard lock; bounce it back to the router.
+                # per-shard lock, or since the caller's check; bounce it
+                # back to the router.
                 return _TIMED_OUT
             if service.tracer is not None:
                 service.tracer.record(

@@ -39,7 +39,7 @@ from repro.core.headers import (
     pack_request,
     unpack_response,
 )
-from repro.core.mode import Mode, SwitchPolicy
+from repro.core.mode import REMOTE_FETCH, SERVER_REPLY, Mode, SwitchPolicy
 from repro.core.sampling import ResultSampler
 from repro.core.server import ClientChannel, RfpServer
 from repro.errors import ProtocolError
@@ -213,7 +213,7 @@ class RfpClient:
         policy = self.policy
         landing = self._fetch_landing
         response: Optional[bytes] = None
-        fetching = policy.mode is Mode.REMOTE_FETCH
+        fetching = policy.mode is REMOTE_FETCH
         if fetching:
             # In fetch mode the client spins from the moment it posts the
             # request until the result is in hand (Fig. 15's 100% CPU).
@@ -278,7 +278,7 @@ class RfpClient:
                         self._trace("mode_switch", seq=self.seq, to="SERVER_REPLY")
                         stats.fetch_attempts.record(failed)
                         yield config.client_post_cpu_us
-                        yield self._post_mode_flag(Mode.SERVER_REPLY)
+                        yield self._post_mode_flag(SERVER_REPLY)
                         stats.busy.add_busy(self.sim.now - self._call_started_at)
                         break
         if response is None:
@@ -298,12 +298,12 @@ class RfpClient:
                 self._trace("reply_received", seq=self.seq, bytes=size)
             if self.result_sampler is not None:
                 self.result_sampler.observe(size)
-            if policy.mode is Mode.SERVER_REPLY and policy.note_reply_time(
+            if policy.mode is SERVER_REPLY and policy.note_reply_time(
                 time_tenths / 10.0
             ):
                 self._trace("mode_switch", seq=self.seq, to="REMOTE_FETCH")
                 yield config.client_post_cpu_us
-                yield self._post_mode_flag(Mode.REMOTE_FETCH)
+                yield self._post_mode_flag(REMOTE_FETCH)
             if not fetching:
                 # The client spun only while posting the request; the
                 # reply wait itself is blocked (this is what Fig. 15

@@ -19,7 +19,7 @@ import enum
 
 from repro.core.config import RfpConfig
 
-__all__ = ["Mode", "SwitchPolicy"]
+__all__ = ["Mode", "REMOTE_FETCH", "SERVER_REPLY", "SwitchPolicy"]
 
 
 class Mode(enum.Enum):
@@ -27,6 +27,11 @@ class Mode(enum.Enum):
 
     REMOTE_FETCH = 0
     SERVER_REPLY = 1
+
+
+# A module global loads faster than an enum member (docs/sim.md).
+REMOTE_FETCH = Mode.REMOTE_FETCH
+SERVER_REPLY = Mode.SERVER_REPLY
 
 
 class SwitchPolicy:
@@ -39,7 +44,7 @@ class SwitchPolicy:
 
     def __init__(self, config: RfpConfig) -> None:
         self.config = config
-        self.mode = Mode.REMOTE_FETCH
+        self.mode = REMOTE_FETCH
         self.consecutive_slow = 0
         self.switches_to_reply = 0
         self.switches_to_fetch = 0
@@ -47,8 +52,8 @@ class SwitchPolicy:
     def note_fast_call(self) -> None:
         """A remote-fetch call succeeded within ``R`` failed retries."""
         # Tested inline: this runs once per fetched call.
-        if self.mode is not Mode.REMOTE_FETCH:
-            self._require(Mode.REMOTE_FETCH)
+        if self.mode is not REMOTE_FETCH:
+            self._require(REMOTE_FETCH)
         self.consecutive_slow = 0
 
     def note_slow_call(self) -> bool:
@@ -58,12 +63,12 @@ class SwitchPolicy:
         this call* (i.e. this is the ``consecutive_slow_calls``-th slow
         call in a row and the hybrid is enabled).
         """
-        self._require(Mode.REMOTE_FETCH)
+        self._require(REMOTE_FETCH)
         self.consecutive_slow += 1
         if not self.config.hybrid_enabled:
             return False
         if self.consecutive_slow >= self.config.consecutive_slow_calls:
-            self.mode = Mode.SERVER_REPLY
+            self.mode = SERVER_REPLY
             self.consecutive_slow = 0
             self.switches_to_reply += 1
             return True
@@ -75,11 +80,12 @@ class SwitchPolicy:
         The server got fast again when its observed response time dropped
         below the threshold that made remote fetching worthwhile.
         """
-        self._require(Mode.SERVER_REPLY)
+        if self.mode is not SERVER_REPLY:
+            self._require(SERVER_REPLY)
         if not self.config.hybrid_enabled:
             return False
         if response_time_us < self.config.switch_back_process_time_us:
-            self.mode = Mode.REMOTE_FETCH
+            self.mode = REMOTE_FETCH
             self.switches_to_fetch += 1
             return True
         return False

@@ -33,7 +33,7 @@ from repro.core.headers import (
     pack_timed_response,
     unpack_request,
 )
-from repro.core.mode import Mode
+from repro.core.mode import REMOTE_FETCH, SERVER_REPLY, Mode
 from repro.errors import ProtocolError
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
@@ -110,7 +110,7 @@ class ClientChannel:
         self.reply_region = reply_region
         #: Client-side store the reply write's delivery feeds.
         self.reply_store = Store(sim)
-        self.mode = Mode.REMOTE_FETCH
+        self.mode = REMOTE_FETCH
         self.state = ClientChannel.IDLE
         self.request_delivered_at = 0.0
         self.seq_seen = 0
@@ -283,7 +283,7 @@ class RfpServer:
             if self._halted:
                 return
             self._publish_response(channel, status, response)
-            if channel.mode is Mode.SERVER_REPLY:
+            if channel.mode is SERVER_REPLY:
                 # _send_reply without a generator frame per reply.
                 total = RESPONSE_HEADER_BYTES + channel.response_size
                 yield spec.post_cpu_us + total * config.reply_send_per_byte_us
@@ -392,7 +392,7 @@ class RfpServer:
             )
         pending = (
             not self._halted
-            and new_mode is Mode.SERVER_REPLY
+            and new_mode is SERVER_REPLY
             and channel.state == ClientChannel.DONE
             and channel.response_seq is not None
             and channel.replied_seq != channel.response_seq

@@ -10,6 +10,7 @@ one clear line on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -64,6 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:  # Refuse an unwritable directory before any condition runs.
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as error:
+        print(f"error: cannot write {args.out}: {error.strerror}", file=sys.stderr)
+        return 2
     scale = Scale.full_scale() if args.full else Scale.fast()
     observers = list(default_observers())
     if not args.quiet:

@@ -62,6 +62,11 @@ class QPType(enum.Enum):
     UD = "UD"
 
 
+# A module global loads faster than an enum member (docs/sim.md).
+_RC = QPType.RC
+_UD = QPType.UD
+
+
 class QueuePair:
     """A connected queue pair; use :attr:`a` and :attr:`b` endpoints.
 
@@ -107,7 +112,7 @@ class QueuePair:
 
     def _drops_unreliable_message(self) -> bool:
         """Decide the fate of one UC/UD message in flight."""
-        if self._loss_rng is None or self.qp_type is QPType.RC:
+        if self._loss_rng is None or self.qp_type is _RC:
             return False
         if self._loss_rng.random() < self.loss_probability:
             self.messages_lost += 1
@@ -194,6 +199,10 @@ class Endpoint:
     # posting it builds no closures.  The in-bound submission still
     # happens *at arrival time* (_at_remote): remote queueing depends on
     # the arrival order of ops from every issuer.
+    #
+    # The one-sided stages copy through the region's view: the post
+    # checked the bounds, and a deregistered region fails through
+    # ``_check`` as ``read_local``/``write_local`` would.
 
     def _issued_unreliably(self, op: tuple) -> None:
         # Unreliable transports complete at issue time and may drop the
@@ -231,7 +240,7 @@ class Endpoint:
         qp = self.qp
         if not qp._open:
             self._check_open()
-        if qp.qp_type is not QPType.RC:
+        if qp.qp_type is not _RC:
             raise TransportError(
                 f"RDMA Read requires RC, not {qp.qp_type.value}"
             )
@@ -269,7 +278,9 @@ class Endpoint:
 
     def _read_served(self, op: tuple) -> None:
         _, size, _, _, _, remote_mr, remote_offset = op
-        snapshot = remote_mr.read_local(remote_offset, size)
+        if not remote_mr._registered:
+            remote_mr._check(remote_offset, size)
+        snapshot = remote_mr._view[remote_offset : remote_offset + size].tobytes()
         self.sim.schedule(
             self._backward_us + self.machine.rnic.spec.read_extra_us,
             self._read_delivered,
@@ -279,7 +290,9 @@ class Endpoint:
 
     def _read_delivered(self, op: tuple, snapshot: bytes) -> None:
         _, size, completion, local_mr, local_offset, _, _ = op
-        local_mr.write_local(local_offset, snapshot)
+        if not local_mr._registered:
+            local_mr._check(local_offset, size)
+        local_mr._view[local_offset : local_offset + size] = snapshot
         completion.trigger(size)
 
     def post_write(
@@ -308,7 +321,7 @@ class Endpoint:
         qp = self.qp
         if not qp._open:
             self._check_open()
-        if qp.qp_type is QPType.UD:
+        if qp.qp_type is _UD:
             raise TransportError("RDMA Write requires RC or UC, not UD")
         if (
             local_mr.machine is not self.machine
@@ -330,11 +343,11 @@ class Endpoint:
             completion,
             remote_mr,
             remote_offset,
-            local_mr.read_local(local_offset, size),
+            local_mr._view[local_offset : local_offset + size].tobytes(),
             on_delivery,
         )
         done_out = self.machine.rnic.occupy_outbound(size)
-        if qp.qp_type is QPType.RC:
+        if qp.qp_type is _RC:
             sim.schedule(done_out - sim.now + self._forward_us, self._at_remote, op)
         else:
             sim.schedule(done_out - sim.now, self._issued_unreliably, op)
@@ -342,10 +355,12 @@ class Endpoint:
 
     def _write_served(self, op: tuple) -> None:
         _, size, completion, remote_mr, remote_offset, payload, on_delivery = op
-        remote_mr.write_local(remote_offset, payload)
+        if not remote_mr._registered:
+            remote_mr._check(remote_offset, size)
+        remote_mr._view[remote_offset : remote_offset + size] = payload
         if on_delivery is not None:
             on_delivery()
-        if completion is not None and self.qp.qp_type is QPType.RC:
+        if completion is not None and self.qp.qp_type is _RC:
             self.sim.schedule(self._backward_us, completion.trigger, size)
 
     # ------------------------------------------------------------------
@@ -387,7 +402,7 @@ class Endpoint:
         self, remote_mr: MemoryRegion, remote_offset: int, update
     ) -> Event:
         self._check_open()
-        if self.qp.qp_type is not QPType.RC:
+        if self.qp.qp_type is not _RC:
             raise TransportError(
                 f"RDMA atomics require RC, not {self.qp.qp_type.value}"
             )
@@ -441,9 +456,9 @@ class Endpoint:
         qp_type = self.qp.qp_type
         op = (self._send_served, size, completion, payload)
         done_out = self.machine.rnic.occupy_outbound(
-            size, kind="ud_send" if qp_type is QPType.UD else "write"
+            size, kind="ud_send" if qp_type is _UD else "write"
         )
-        if qp_type is QPType.RC:
+        if qp_type is _RC:
             sim.schedule(done_out - sim.now + self._forward_us, self._at_remote, op)
         else:
             sim.schedule(done_out - sim.now, self._issued_unreliably, op)
@@ -452,7 +467,7 @@ class Endpoint:
     def _send_served(self, op: tuple) -> None:
         _, size, completion, payload = op
         self._peer._inbox_store().put(payload)
-        if self.qp.qp_type is QPType.RC:
+        if self.qp.qp_type is _RC:
             self.sim.schedule(self._backward_us, completion.trigger, size)
 
     def recv(self) -> Event:

@@ -16,16 +16,18 @@ split across two structures for speed:
   same-timestamp traffic pays two deque operations instead of two
   ``O(log n)`` heap operations.
 - An :class:`Event` is a one-shot condition that processes can wait on.
-  It either *triggers* with a value or *fails* with an exception.
-- A :class:`Timeout` is the fast path for ``yield sim.timeout(d)`` — by
-  far the most common waitable.  It is an :class:`Event` subclass that
-  skips the callbacks-list machinery: one slotted object, one heap entry
-  armed at creation (so its ``seq`` matches the pure-Event engine), and
-  waiter resumption through the ready deque.
+  It either *triggers* with a value or *fails* with an exception.  Its
+  waiters sit in one slot: the one callback, or a list from the second
+  waiter on.
+- A :class:`Timeout` is the fast path for ``yield sim.timeout(d)``: an
+  :class:`Event` armed at creation with one heap entry that calls
+  :meth:`Event.trigger` (so its ``seq`` matches the pure-Event engine).
 - A :class:`Process` wraps a generator.  The generator advances by
   yielding events (or other processes, which waits for their completion)
   and receives the event's value as the result of the ``yield``
-  expression.
+  expression.  Every step is one call of :meth:`Process._step`: a
+  completed wait, the entry of a ``yield <number>`` timer and the start
+  all land there.
 - :meth:`Process.deadline` entries of one delay expire in the order they
   were armed, so they wait in one FIFO per delay and only the FIFO's
   head sits in the heap, under the ``(time, seq)`` it was armed with.
@@ -251,11 +253,13 @@ class Event:
     :class:`SimulationError` so that bugs do not pass silently.
     """
 
-    __slots__ = ("sim", "_callbacks", "_done", "_value", "_exc", "_defused")
+    __slots__ = ("sim", "_cb", "_done", "_value", "_exc", "_defused")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: Waiters: ``None``, the one callback, or a list of them from
+        #: the second waiter on (nearly every event has one waiter).
+        self._cb: Any = None
         self._done = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
@@ -286,21 +290,17 @@ class Event:
             raise SimulationError("event triggered twice")
         self._done = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
+        cb = self._cb
+        if cb is not None:
+            self._cb = None
             sim = self.sim
-            if sim._fast:
-                # Inlined ready-deque append: this is the single
-                # hottest scheduling site in event-heavy runs.
-                ready = sim._ready
-                seq = sim._seq
-                for callback in callbacks:
-                    seq += 1
-                    ready.append((seq, callback, (self,)))
-                sim._seq = seq
+            if sim._fast and type(cb) is not list:
+                # Inlined ready-deque append for the one waiter nearly
+                # every event has: the hottest scheduling site.
+                sim._seq += 1
+                sim._ready.append((sim._seq, cb, (self,)))
             else:
-                for callback in callbacks:
-                    sim._schedule_now(callback, self)
+                self._schedule_waiters(cb)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -309,12 +309,11 @@ class Event:
             raise SimulationError("event triggered twice")
         self._done = True
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
+        cb = self._cb
+        if cb is not None:
+            self._cb = None
             self._defused = True
-            schedule_now = self.sim._schedule_now
-            for callback in callbacks:
-                schedule_now(callback, self)
+            self._schedule_waiters(cb)
         else:
             # Give same-timestamp subscribers one chance to observe the
             # failure before we escalate it.
@@ -334,113 +333,6 @@ class Event:
                 sim._ready.append((sim._seq, callback, (self,)))
             else:
                 sim._schedule_now(callback, self)
-        else:
-            assert self._callbacks is not None  # pending => list is live
-            self._callbacks.append(callback)
-
-    def _check_defused(self) -> None:
-        if not self._defused:
-            raise SimulationError("unhandled failure in event") from self._exc
-
-
-class Timeout(Event):
-    """Fast-path event armed to trigger after a fixed delay.
-
-    ``yield sim.timeout(d)`` is the single most common operation in every
-    benchmark, and the plain-:class:`Event` implementation paid an event
-    allocation, a callbacks list, and a heap round trip per waiter wake.
-    A ``Timeout`` is armed once at creation (one heap entry, carrying the
-    creation-order ``seq`` so firing order among equal deadlines matches
-    the reference engine exactly) and stores its waiter in a single slot;
-    when it fires, waiters resume through the ready deque exactly where
-    the reference engine's zero-delay entries would have run.
-
-    The public :class:`Event` surface (``triggered``/``ok``/``value``,
-    ``wait``, composites) behaves identically.  Manually triggering or
-    failing a pending timeout is allowed, and — as with the reference
-    engine, whose pre-armed trigger would collide at fire time — raises
-    ``event triggered twice`` when the timer later fires.
-    """
-
-    __slots__ = ("_cb",)
-
-    def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self.sim = sim
-        self._done = False
-        self._value = value
-        self._exc = None
-        self._defused = False
-        #: ``None`` (no waiter), a single callback, or a list of them.
-        self._cb: Any = None
-        # Inlined schedule(): a Timeout only ever exists in the fast
-        # engine, so the mode branch reduces to the zero-delay test.
-        sim._seq += 1
-        if delay == 0.0:  # lint: disable=no-float-eq -- exact-zero identity routes to the ready deque
-            sim._ready.append((sim._seq, self._fire, ()))
-        else:
-            heapq.heappush(sim._heap, (sim.now + delay, sim._seq, self._fire, ()))
-
-    def _fire(self) -> None:
-        if self._done:
-            raise SimulationError("event triggered twice")
-        self._done = True
-        cb = self._cb
-        if cb is None:
-            return
-        self._cb = None
-        sim = self.sim
-        if type(cb) is list:
-            ready = sim._ready
-            seq = sim._seq
-            for callback in cb:
-                seq += 1
-                ready.append((seq, callback, (self,)))
-            sim._seq = seq
-        else:
-            sim._seq += 1
-            sim._ready.append((sim._seq, cb, (self,)))
-
-    def trigger(self, value: Any = None) -> "Event":
-        if self._done:
-            raise SimulationError("event triggered twice")
-        self._done = True
-        self._value = value
-        self._dispatch_waiters()
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        if self._done:
-            raise SimulationError("event triggered twice")
-        self._done = True
-        self._exc = exc
-        if self._cb is not None:
-            self._defused = True
-            self._dispatch_waiters()
-        else:
-            self.sim._schedule_now(self._check_defused)
-        return self
-
-    def _dispatch_waiters(self) -> None:
-        cb = self._cb
-        if cb is None:
-            return
-        self._cb = None
-        schedule_now = self.sim._schedule_now
-        if type(cb) is list:
-            for callback in cb:
-                schedule_now(callback, self)
-        else:
-            schedule_now(cb, self)
-
-    def wait(self, callback: Callable[["Event"], None]) -> None:
-        if self._done:
-            if self._exc is not None:
-                self._defused = True
-            sim = self.sim
-            sim._seq += 1
-            sim._ready.append((sim._seq, callback, (self,)))
             return
         cb = self._cb
         if cb is None:
@@ -449,6 +341,70 @@ class Timeout(Event):
             cb.append(callback)
         else:
             self._cb = [cb, callback]
+
+    def _schedule_waiters(self, cb: Any) -> None:
+        """Schedule the waiters ``cb`` held, in wait order."""
+        schedule_now = self.sim._schedule_now
+        if type(cb) is list:
+            for callback in cb:
+                schedule_now(callback, self)
+        else:
+            schedule_now(cb, self)
+
+    def _check_defused(self) -> None:
+        if not self._defused:
+            raise SimulationError("unhandled failure in event") from self._exc
+
+
+class Timeout(Event):
+    """An event armed at creation to trigger after a fixed delay.
+
+    ``yield sim.timeout(d)`` is one of the most common waits.  A
+    ``Timeout`` takes its heap entry when it is created, carrying the
+    creation-order ``seq`` the reference engine's scheduled trigger
+    takes, so firing order among equal deadlines matches that engine
+    exactly; the entry calls :meth:`Event.trigger` itself.
+
+    The public :class:`Event` surface (``triggered``/``ok``/``value``,
+    ``wait``, composites) behaves identically.  Manually triggering or
+    failing a pending timeout is allowed, and — as with the reference
+    engine, whose pre-armed trigger would collide at fire time — raises
+    ``event triggered twice`` when the timer later fires.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self.sim = sim
+        self._cb = None
+        self._done = False
+        self._value = None
+        self._exc = None
+        self._defused = False
+        # Inlined schedule(): a Timeout only ever exists in the fast
+        # engine, so the mode branch reduces to the zero-delay test.
+        sim._seq += 1
+        if delay == 0.0:  # lint: disable=no-float-eq -- exact-zero identity routes to the ready deque
+            sim._ready.append((sim._seq, self.trigger, (value,)))
+        else:
+            heapq.heappush(sim._heap, (sim.now + delay, sim._seq, self.trigger, (value,)))
+
+
+#: What :meth:`Process._step` gets from a ``yield <number>`` timer entry,
+#: which passes no argument.
+_TIMER = object()
+
+
+class _Thrown:
+    """A failed wait: :meth:`Process._step` throws its error into the
+    generator at the yield."""
+
+    __slots__ = ("_exc",)
+
+    def __init__(self, message: str) -> None:
+        self._exc = SimulationError(message)
 
 
 class Process:
@@ -464,12 +420,12 @@ class Process:
     generator's return value), so processes compose.  A :meth:`deadline`
     may complete :attr:`done` first; the generator then runs on detached.
 
-    A finished process drops the bound methods it holds of itself, so
+    A finished process drops the bound method it holds of itself, so
     reference counting frees it, its generator and :attr:`done` once
     nothing else refers to them; the cyclic collector is never needed.
     """
 
-    __slots__ = ("sim", "name", "_gen", "done", "_on_done", "_timer_cb", "__weakref__")
+    __slots__ = ("sim", "name", "_gen", "done", "_on_done", "__weakref__")
 
     def __init__(
         self,
@@ -485,10 +441,10 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
         self.done = Event(sim)
-        # One bound method per process instead of one per yield.
-        self._on_done: Callable[[Event], None] = self._resume
-        self._timer_cb: Callable[[], None] = self._timer_fired
-        sim._schedule_now(self._step, None, None)
+        # One bound method per process instead of one per yield: every
+        # waiter slot and timer entry of this process holds it.
+        self._on_done: Optional[Callable[[Any], None]] = self._step
+        sim._schedule_now(self._step, None)
 
     @property
     def finished(self) -> bool:
@@ -531,36 +487,28 @@ class Process:
             heapq.heappush(sim._heap, (at, sim._seq, _expire_head, (sim._heap, fifo)))
         fifo.append((at, sim._seq, self.done, value))
 
-    def _resume(self, event: Event) -> None:
-        if event._exc is not None:
-            self._step(None, event._exc)
-        else:
-            self._step(event._value, None)
-
-    def _timer_fired(self) -> None:
-        # Fire half of ``yield <float>``: like an event-based timeout,
-        # the timer entry itself is engine bookkeeping (dispatch one) and
-        # the process resumes under a seq taken at fire time (dispatch
-        # two) — the same two-seq pattern as the reference engine's
-        # trigger-then-callback, so global order is unchanged.
-        sim = self.sim
-        sim._seq += 1
-        ready = sim._ready
-        if not ready:
-            # Inline resume: with the ready deque empty and no heap entry
-            # due at this instant, the resume would be the very next
-            # dispatch anyway, so run it now and skip the deque round
-            # trip.  It still counts as its own dispatch.  A heap entry
-            # keyed exactly ``now`` was armed earlier (smaller seq) and
-            # must run first.
+    def _step(self, event: Any = _TIMER) -> None:
+        """Advance the generator past what completed: ``None`` for the
+        start or a queued timer resume, :data:`_TIMER` for a timer's
+        entry, otherwise the event it waited on."""
+        if event is _TIMER:
+            # Fire half of ``yield <number>``: like an event-based
+            # timeout, the timer entry is engine bookkeeping (dispatch
+            # one) and the process resumes under a seq taken at fire
+            # time (dispatch two), as the reference engine's trigger and
+            # callback do.  With the ready deque empty and no heap entry
+            # keyed ``now`` (armed earlier, so it must run first), the
+            # resume would be the very next dispatch: it runs inline and
+            # still counts as its own dispatch.
+            sim = self.sim
+            sim._seq += 1
+            ready = sim._ready
             heap = sim._heap
-            if not heap or heap[0][0] != sim.now:  # lint: disable=no-float-eq -- (time, seq) merge identity
-                sim.dispatched += 1
-                self._step(None, None)
+            if ready or (heap and heap[0][0] == sim.now):  # lint: disable=no-float-eq -- (time, seq) merge identity
+                ready.append((sim._seq, self._on_done, (None,)))
                 return
-        ready.append((sim._seq, self._step, (None, None)))
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+            sim.dispatched += 1
+            event = None
         if _ATOMIC_STACK:
             # Only populated while repro.sim.atomic's guard is enabled: a
             # process advancing here means an atomic section re-entered
@@ -573,19 +521,21 @@ class Process:
                 f"{_ATOMIC_STACK[-1]!r}"
             )
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
+            if event is None:
+                target = self._gen.send(None)
+            elif event._exc is None:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(event._exc)
         except StopIteration as stop:
-            # Finished: drop the self-references (a cycle otherwise), and
+            # Finished: drop the self-reference (a cycle otherwise), and
             # drop the result of a process its deadline already completed.
-            self._on_done = self._timer_cb = None
+            self._on_done = None
             if not self.done._done:
                 self.done.trigger(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - escalated via event
-            self._on_done = self._timer_cb = None
+            self._on_done = None
             if not self.done._done:
                 # Store the failure without this stepping frame: it holds
                 # the process, which holds ``done``, which would hold the
@@ -603,43 +553,35 @@ class Process:
         if typ is float or typ is int:
             sim = self.sim
             if not target >= 0.0:
-                self._step(
-                    None,
-                    SimulationError(
-                        f"cannot schedule in the past (delay={target})"
-                    ),
-                )
+                self._step(_Thrown(f"cannot schedule in the past (delay={target})"))
             elif sim._fast:
                 sim._seq += 1
                 if target == 0.0:  # lint: disable=no-float-eq -- exact-zero identity routes to the ready deque
-                    sim._ready.append((sim._seq, self._timer_cb, ()))
+                    sim._ready.append((sim._seq, self._on_done, ()))
                 else:
                     heapq.heappush(
-                        sim._heap,
-                        (sim.now + target, sim._seq, self._timer_cb, ()),
+                        sim._heap, (sim.now + target, sim._seq, self._on_done, ())
                     )
             else:
                 sim.timeout(target).wait(self._on_done)
             return
-        # A pending timeout with a free waiter slot is claimed inline —
+        if not (typ is Event or typ is Timeout):
+            if isinstance(target, Process):
+                target = target.done
+            elif not isinstance(target, Event):
+                self._step(
+                    _Thrown(
+                        f"process {self.name!r} yielded {typ.__name__}, "
+                        "expected Event or Process"
+                    )
+                )
+                return
+        # A pending event with a free waiter slot is claimed inline —
         # same effect as ``wait()``, one call cheaper.
-        if typ is Timeout:
-            if not target._done and target._cb is None:
-                target._cb = self._on_done
-            else:
-                target.wait(self._on_done)
-        elif isinstance(target, Event):
-            target.wait(self._on_done)
-        elif isinstance(target, Process):
-            target.done.wait(self._on_done)
+        if target._cb is None and not target._done:
+            target._cb = self._on_done
         else:
-            self._step(
-                None,
-                SimulationError(
-                    f"process {self.name!r} yielded {type(target).__name__}, "
-                    "expected Event or Process"
-                ),
-            )
+            target.wait(self._on_done)
 
 
 def _expire_head(heap: List[Any], fifo: Deque[Tuple[float, int, Event, Any]]) -> None:

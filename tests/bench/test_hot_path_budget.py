@@ -17,6 +17,14 @@ path fails here without timing anything:
   of ``cluster-failover``): every operation goes through the router's
   per-shard lock and its deadline-guarded attempts.
 
+The same three windows also count the enum members loaded from their
+class (``Mode.SERVER_REPLY``, ``QPType.RC``, ...).  On CPython 3.11 such a
+load takes ``enum``'s slow generic path (about 190 ns, against about 30
+ns for a module alias), and ``cProfile`` cannot see it, so no call budget
+catches one put back on the call path.  The GET and echo loops load none;
+the routed loop's heartbeats load a few (``ShardStatus.SUSPECT`` and
+``DEAD``), and so may a rare slow call.
+
 A fourth loop holds set-up to the same kind of budget: a dataset
 preload of distinct keys into an empty store about 2% too small for
 them (the ``kv-write-zipf`` regime), so thousands of pairs are evicted
@@ -38,7 +46,11 @@ budget in the same change and say why.
 """
 
 import cProfile
+import contextlib
+import enum
 import pstats
+
+import pytest
 
 from repro.cluster import ClusterConfig, RfpCluster
 from repro.core import Mode, RfpClient, RfpServer
@@ -57,20 +69,20 @@ WINDOW_US = 800.0
 EXPECTED_OPS = 3_954
 EXPECTED_DISPATCHED = 83_873
 #: Python calls per GET measured when the budget was set.
-CALLS_PER_OP = 217.3
+CALLS_PER_OP = 192.65
 
 #: Echo calls completed inside the window and events dispatched in it.
 EXPECTED_ECHOES = 584
 EXPECTED_ECHO_DISPATCHED = 11_705
 #: Python calls per echo call measured when the budget was set.
-CALLS_PER_ECHO = 181.6
+CALLS_PER_ECHO = 156.11
 
 #: Routed operations completed inside the window and events dispatched
 #: in it.
 EXPECTED_ROUTED_OPS = 3_031
 EXPECTED_ROUTED_DISPATCHED = 87_396
 #: Python calls per routed operation measured when the budget was set.
-CALLS_PER_ROUTED_OP = 318.1
+CALLS_PER_ROUTED_OP = 279.34
 
 #: Distinct pairs preloaded into 6 partitions of ``PRELOAD_BUCKETS``
 #: buckets: 19,584 slots, 2% fewer than the pairs.
@@ -85,24 +97,60 @@ CLUSTER_PRELOAD_PAIRS = 8_192
 #: budget was set.
 CALLS_PER_CLUSTER_PAIR = 2.538
 
+#: Enum members loaded from their class per routed operation, at most.
+ENUM_LOADS_PER_ROUTED_OP = 0.1
+
 #: Headroom before a budget trips.
 BUDGET = 1.05
 
 
-def measure(sim, done):
-    """Run warm-up, then the profiled window; return (operations,
-    dispatched, profiled calls) for the window."""
-    sim.run(until=WARMUP_US)
-    ops_before, dispatched_before = done[0], sim.dispatched
+@contextlib.contextmanager
+def python_calls():
+    """Count the Python calls ``cProfile`` sees inside the block."""
+    reading = [0]
     profile = cProfile.Profile()
     profile.enable()
-    sim.run(until=WARMUP_US + WINDOW_US)
-    profile.disable()
-    calls = sum(row[1] for row in pstats.Stats(profile).stats.values())
-    return done[0] - ops_before, sim.dispatched - dispatched_before, calls
+    try:
+        yield reading
+    finally:
+        profile.disable()
+    reading[0] = sum(row[1] for row in pstats.Stats(profile).stats.values())
 
 
-def run_gets():
+@contextlib.contextmanager
+def enum_member_loads():
+    """Count the enum members loaded from their class inside the block."""
+    reading = [0]
+    own = enum.EnumType.__dict__.get("__getattribute__")
+    load = enum.EnumType.__getattribute__
+
+    def counting(cls, name):
+        value = load(cls, name)
+        if type(value) is cls:
+            reading[0] += 1
+        return value
+
+    enum.EnumType.__getattribute__ = counting
+    try:
+        yield reading
+    finally:
+        if own is None:
+            del enum.EnumType.__getattribute__
+        else:
+            enum.EnumType.__getattribute__ = own
+
+
+def measure(sim, done, meter):
+    """Run warm-up, then the window under ``meter``; return (operations,
+    dispatched, the meter's reading) for the window."""
+    sim.run(until=WARMUP_US)
+    ops_before, dispatched_before = done[0], sim.dispatched
+    with meter() as reading:
+        sim.run(until=WARMUP_US + WINDOW_US)
+    return done[0] - ops_before, sim.dispatched - dispatched_before, reading[0]
+
+
+def run_gets(meter=python_calls):
     """Closed-loop Jakiro GETs of 32 B values."""
     sim = Simulator()
     hw = build_cluster(sim, CLUSTER_EUROSYS17)
@@ -124,10 +172,10 @@ def run_gets():
     for index in range(CLIENTS):
         client = jakiro.connect(machines[index % len(machines)], name=f"c{index}")
         sim.process(loop(client, index * 131))
-    return measure(sim, done)
+    return measure(sim, done, meter)
 
 
-def run_echoes():
+def run_echoes(meter=python_calls):
     """Closed-loop 32 B echo calls with 9.5-10.5 µs handlers; returns the
     measurement and the clients."""
     sim = Simulator()
@@ -156,10 +204,10 @@ def run_echoes():
 
     for index, client in enumerate(clients):
         sim.process(loop(client, index * 131))
-    return measure(sim, done), clients
+    return measure(sim, done, meter), clients
 
 
-def run_routed():
+def run_routed(meter=python_calls):
     """Closed-loop routed operations of 32 B values on three shards with
     RF=2: every fourth operation of a client is a PUT, acknowledged by
     both replicas, and the rest are GETs."""
@@ -191,7 +239,7 @@ def run_routed():
     for index in range(CLIENTS):
         client = service.connect(machines[index % len(machines)], name=f"r{index}")
         sim.process(loop(client, index * 131))
-    return measure(sim, done)
+    return measure(sim, done, meter)
 
 
 def run_preload():
@@ -281,6 +329,20 @@ def test_routed_dispatches_pinned_and_calls_within_budget():
     ops, dispatched, calls = run_routed()
     assert (ops, dispatched) == (EXPECTED_ROUTED_OPS, EXPECTED_ROUTED_DISPATCHED)
     check_budget(calls, ops, CALLS_PER_ROUTED_OP, "routed operation")
+
+
+@pytest.mark.parametrize(
+    "run, per_op",
+    [
+        (run_gets, 0.0),
+        (lambda meter: run_echoes(meter)[0], 0.0),
+        (run_routed, ENUM_LOADS_PER_ROUTED_OP),
+    ],
+    ids=["get", "echo", "routed"],
+)
+def test_call_path_loads_no_enum_member_from_its_class(run, per_op):
+    ops, _, loads = run(enum_member_loads)
+    assert loads / ops <= per_op, f"{loads / ops:.3g} enum member loads per op"
 
 
 def test_preload_settles_without_insert_and_calls_within_budget():

@@ -422,6 +422,75 @@ class TestShardLock:
         # The GET reached the shard only when the PUT released it.
         assert routes[1].at_us == put_done[0] > routes[0].at_us
 
+    def test_free_lock_get_checks_routability_once(self):
+        # Heartbeats far apart, so only the router asks the membership.
+        sim = Simulator()
+        cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+        service = RfpCluster(
+            sim,
+            cluster,
+            shards=3,
+            cluster_config=ClusterConfig(
+                replication_factor=2,
+                heartbeat_interval_us=10_000.0,
+                lease_timeout_us=30_000.0,
+            ),
+        )
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3])
+        sim.run(until=1.0)  # the first heartbeats
+        membership = service.membership
+        calls = {"is_routable": 0, "status": 0}
+        for name in calls:
+            method = getattr(membership, name)
+
+            def counted(node, method=method, name=name):
+                calls[name] += 1
+                return method(node)
+
+            setattr(membership, name, counted)
+
+        def reader():
+            for key in KEYS:
+                assert (yield from client.get(key)) == b"v" * 32
+
+        read = sim.process(reader())
+        sim.run(until=5_000.0)
+        assert read.finished
+        # One check where the GET picks its shard; the attempt that took
+        # the free lock right after does not repeat it.
+        assert calls == {"is_routable": len(KEYS), "status": 0}
+
+    def test_queued_get_bounces_off_an_unroutable_shard(self):
+        sim, cluster, tracer, service = make_service()
+        service.preload([(key, b"v" * 32) for key in KEYS])
+        client = service.connect(cluster.machines[3])
+        key = KEYS[0]
+        primary, backup = service.replicas_for(key)
+
+        def writer():
+            yield from client.put(key, b"new")
+
+        def reader():
+            return (yield from client.get(key))
+
+        sim.process(writer())
+        read = sim.process(reader())
+        # The GET queues behind the PUT's attempt on the primary; the
+        # primary turns suspect before that attempt releases the lock.
+        sim.schedule(1.0, service.membership.report_suspect, primary, "test")
+        sim.run(until=15.0)
+        assert read.finished and read.value == b"new"
+        routes = tracer.events(label="route")
+        assert [(event.data["op"], event.data["shard"]) for event in routes] == [
+            ("put", primary),
+            ("put", backup),
+            ("get", backup),
+        ]
+        # A bounce, not a timeout: the GET never reached the primary.
+        assert tracer.events(label="route_timeout") == []
+        assert service.metrics.shards[backup].failover_ops.value == 1
+
     def test_different_shards_overlap(self):
         sim, cluster, tracer, service = make_service(replication_factor=1)
         service.preload([(key, b"v" * 32) for key in KEYS])

@@ -40,6 +40,44 @@ class TestExpCli:
         assert "core: fig3, fig4, tab1" in out
         assert "cluster:" in out
 
+    def run_with_spy(self, monkeypatch, argv):
+        """Run ``python -m repro.exp`` with ``run_suite`` replaced by a
+        spy; returns (exit code, the spy's calls)."""
+        import repro.exp.cli
+
+        calls = []
+
+        def spy(suite, **kwargs):
+            calls.append((suite, kwargs))
+            return {}, [], "written"
+
+        monkeypatch.setattr(repro.exp.cli, "run_suite", spy)
+        return exp_main(argv), calls
+
+    def test_run_out_naming_a_file_refused_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, calls = self.run_with_spy(
+            monkeypatch, ["run", "core", "--quiet", "--out", str(taken)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot write {taken}: File exists"]
+        assert calls == []
+
+    def test_run_creates_a_missing_out_directory(self, tmp_path, monkeypatch):
+        out = tmp_path / "no" / "such"
+        code, calls = self.run_with_spy(
+            monkeypatch, ["run", "core", "--quiet", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.is_dir()
+        assert [(suite, kwargs["out_dir"]) for suite, kwargs in calls] == [
+            ("core", str(out))
+        ]
+
     def test_compare_identical_artifacts_exits_0(self, tmp_path, capsys):
         a = toy_artifact(tmp_path, "a.json", 5.0)
         b = toy_artifact(tmp_path, "b.json", 5.0)

@@ -3,11 +3,13 @@ reference engine on randomly generated process/waitable DAGs.
 
 Hypothesis draws a small program — a set of processes, each a random
 sequence of operations over direct delays, timeouts, shared events,
-``AnyOf``/``AllOf`` composites, joins on other processes and deadline
-races — and runs it under ``Simulator()`` and
+``AnyOf``/``AllOf`` composites, joins on other processes, deadline
+races and failed events — and runs it under ``Simulator()`` and
 ``Simulator(reference=True)``.  The full observable history (every
-step's ``(process, op, value, now)``), the final clock, and the total
-dispatch count must match exactly.  Delays are drawn from a tiny grid so
+step's ``(process, op, value, now)``), how the run ended, the final
+clock, and the total dispatch count must match exactly.  A failure
+nobody waits on escalates out of ``run()``; both engines must escalate
+at the same dispatch.  Delays are drawn from a tiny grid so
 same-timestamp collisions (the regime where ordering bugs hide) are
 common rather than rare.
 
@@ -20,7 +22,7 @@ engine drops the deadlines of finished calls queued behind a head.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import AllOf, AnyOf, Simulator
+from repro.sim.core import AllOf, AnyOf, SimulationError, Simulator
 
 # A tiny delay grid maximises timestamp collisions; all values are exact
 # binary floats so time arithmetic is bit-reproducible.
@@ -32,7 +34,8 @@ deadline_delays = st.sampled_from([0.5, 1.0, 1.5])
 #   ("delay", d)    -> yield d                (direct-delay dispatch path)
 #   ("timeout", d)  -> yield sim.timeout(d)
 #   ("trigger", i)  -> trigger shared event i (if still pending)
-#   ("wait", i)     -> yield shared event i   (skipped if never triggered)
+#   ("fail", i)     -> fail shared event i    (if still pending)
+#   ("wait", i)     -> yield shared event i   (a failure logs its type)
 #   ("any", d1, d2) -> yield AnyOf(timeout(d1), timeout(d2))
 #   ("all", d1, d2) -> yield AllOf(timeout(d1), timeout(d2))
 #   ("join", j)     -> yield process j        (earlier-started only)
@@ -42,6 +45,7 @@ ops = st.one_of(
     st.tuples(st.just("delay"), delays),
     st.tuples(st.just("timeout"), delays),
     st.tuples(st.just("trigger"), st.integers(0, 2)),
+    st.tuples(st.just("fail"), st.integers(0, 2)),
     st.tuples(st.just("wait"), st.integers(0, 2)),
     st.tuples(st.just("any"), delays, delays),
     st.tuples(st.just("all"), delays, delays),
@@ -52,6 +56,10 @@ ops = st.one_of(
 programs = st.lists(
     st.lists(ops, min_size=1, max_size=6), min_size=1, max_size=6
 )
+
+
+class Boom(Exception):
+    """The failure a ``fail`` opcode puts on a shared event."""
 
 
 def _expire(done, value):
@@ -88,10 +96,18 @@ def _execute(program, reference, oracle=False):
                 if not event.triggered:
                     event.trigger((pid, step))
                 history.append((pid, step, "trigger", sim.now))
+            elif kind == "fail":
+                event = shared[opcode[1]]
+                if not event.triggered:
+                    event.fail(Boom((pid, step)))
+                history.append((pid, step, "fail", sim.now))
             elif kind == "wait":
                 # May never trigger: the process then parks forever,
                 # which both engines must agree on as well.
-                value = yield shared[opcode[1]]
+                try:
+                    value = yield shared[opcode[1]]
+                except Boom as error:
+                    value = type(error).__name__
                 history.append((pid, step, value, sim.now))
             elif kind == "any":
                 value = yield AnyOf(
@@ -120,11 +136,16 @@ def _execute(program, reference, oracle=False):
 
     for pid, opcodes in enumerate(program):
         processes.append(sim.process(body(pid, opcodes), name=f"p{pid}"))
-    sim.run()
+    try:
+        sim.run()
+        ended = "drained"
+    except SimulationError as error:
+        # A failed event nobody waited on by the end of its instant.
+        ended = str(error)
     final = [
         (process.done.ok, process.done._value) for process in processes
     ]
-    return history, final, sim.now, sim.dispatched
+    return history, ended, final, sim.now, sim.dispatched
 
 
 class TestEngineEquivalenceProperty:
@@ -133,9 +154,13 @@ class TestEngineEquivalenceProperty:
     # A deadline armed later than the head of its FIFO, whose call ends
     # at its instant: it must still win the tie from its own slot.
     @example([[("deadline", 1.0, 1.5)], [("delay", 0.5), ("deadline", 1.0, 1.0)]])
+    # A failure with no waiter, then with one and with two.
+    @example([[("fail", 0)]])
+    @example([[("wait", 1)], [("fail", 1)]])
+    @example([[("wait", 2)], [("wait", 2)], [("delay", 0.5), ("fail", 2)]])
     def test_fast_engine_matches_reference(self, program):
         fast = _execute(program, reference=False)
         reference = _execute(program, reference=True)
         assert fast == reference
-        history, final, _, _ = _execute(program, reference=True, oracle=True)
-        assert (history, final) == fast[:2]
+        history, ended, final, _, _ = _execute(program, reference=True, oracle=True)
+        assert (history, ended, final) == fast[:3]

@@ -172,15 +172,40 @@ def test_unjoined_failure_raises_at_run():
         sim.run()
 
 
-def test_yielding_garbage_fails_process():
-    sim = Simulator()
+def assert_yield_fails_at_the_yield(bad, message):
+    """On both engines: yielding ``bad`` fails the process with
+    ``message``, and the generator can catch the error at its yield."""
+    for reference in (False, True):
+        sim = Simulator(reference=reference)
 
-    def body(sim):
-        yield "not a waitable"
+        def body(sim):
+            yield bad
 
-    sim.process(body(sim))
-    with pytest.raises(SimulationError):
+        sim.process(body(sim))
+        with pytest.raises(SimulationError, match="^unhandled failure"):
+            sim.run()
+
+        sim = Simulator(reference=reference)
+        caught = []
+
+        def catcher(sim):
+            try:
+                yield bad
+            except SimulationError as error:
+                caught.append((str(error), sim.now))
+            yield 1.0
+            return "recovered"
+
+        proc = sim.process(catcher(sim), name="catcher")
         sim.run()
+        assert caught == [(message, 0.0)]
+        assert (proc.value, sim.now) == ("recovered", 1.0)
+
+
+def test_yielding_garbage_fails_process():
+    assert_yield_fails_at_the_yield(
+        "not a waitable", "process 'catcher' yielded str, expected Event or Process"
+    )
 
 
 def test_yielding_number_is_a_timeout():
@@ -202,14 +227,7 @@ def test_yielding_number_is_a_timeout():
 
 
 def test_yielding_negative_delay_fails_process():
-    sim = Simulator()
-
-    def body(sim):
-        yield -1.0
-
-    sim.process(body(sim))
-    with pytest.raises(SimulationError):
-        sim.run()
+    assert_yield_fails_at_the_yield(-1.0, "cannot schedule in the past (delay=-1.0)")
 
 
 def test_anyof_returns_first_completion():

@@ -378,15 +378,34 @@ class TestTimeoutSemantics:
         with pytest.raises(Exception, match="triggered twice"):
             sim.run()
 
-    def test_multiple_waiters_resume_in_wait_order(self):
-        sim = Simulator()
-        timeout = sim.timeout(1.0, value="v")
-        order = []
-        timeout.wait(lambda e: order.append(("a", e.value)))
-        timeout.wait(lambda e: order.append(("b", e.value)))
-        timeout.wait(lambda e: order.append(("c", e.value)))
-        sim.run()
-        assert order == [("a", "v"), ("b", "v"), ("c", "v")]
+    # One waiter sits in the event's slot, a second promotes the slot to
+    # a list, and a third appends to the list.
+    @pytest.mark.parametrize("waiters", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["event", "timeout", "failed-event"])
+    def test_waiters_resume_in_wait_order(self, kind, waiters):
+        names = "abc"[:waiters]
+
+        def scenario(sim, trace):
+            if kind == "timeout":
+                waited = sim.timeout(1.0, value="v")
+            else:
+                waited = sim.event()
+                if kind == "event":
+                    sim.schedule(1.0, waited.trigger, "v")
+                else:
+                    sim.schedule(1.0, waited.fail, RuntimeError("v"))
+
+            def waiter(event, name):
+                outcome = event.value if event.ok else "failed"
+                trace.append((name, outcome, sim.now))
+
+            for name in names:
+                waited.wait(lambda event, name=name: waiter(event, name))
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        outcome = "failed" if kind == "failed-event" else "v"
+        assert fast == reference == [(name, outcome, 1.0) for name in names]
+        assert sim_fast.dispatched == sim_ref.dispatched == 1 + waiters
 
     def test_wait_after_fire_resumes_via_ready(self):
         sim = Simulator()
