@@ -10,9 +10,9 @@ paradigm stops paying.
 Run:  python examples/custom_hardware.py
 """
 
-from repro.bench.extensions import SYMMETRIC_CLUSTER
 from repro.bench.harness import Scale, run_kv
 from repro.core import derive_size_bounds
+from repro.exp.drivers import CLUSTERS
 from repro.hw import CONNECTX2, CONNECTX3, CONNECTX4, pipeline_service_time
 from repro.hw.specs import ClusterSpec, MachineSpec
 from repro.workloads import WorkloadSpec
@@ -70,8 +70,9 @@ def main() -> None:
             f"{reply.throughput_mops:8.2f} {gain:5.1f}x"
         )
 
-    jakiro = run_kv("jakiro", spec, scale=scale, cluster_spec=SYMMETRIC_CLUSTER)
-    reply = run_kv("serverreply", spec, scale=scale, cluster_spec=SYMMETRIC_CLUSTER)
+    symmetric = CLUSTERS["symmetric"]
+    jakiro = run_kv("jakiro", spec, scale=scale, cluster_spec=symmetric)
+    reply = run_kv("serverreply", spec, scale=scale, cluster_spec=symmetric)
     gain = jakiro.throughput_mops / reply.throughput_mops
     print(
         f"{'hypothetical symmetric NIC':28s} {jakiro.throughput_mops:8.2f} "

@@ -9,8 +9,10 @@ Usage::
     python -m repro.bench --out out.txt   # also write the report to a file
 
 An experiment that raises a library error (a breached audit or headline
-check) stops the run with one ``error: <id>: ...`` line and exit 1; the
-sections that finished before it are still appended to ``--out``.  An
+check) stops the run with one ``error: <id>: ...`` line and exit 1 (a
+failed condition of a declared spec names it as ``python -m repro.exp``
+does: ``error: <suite>/<id>/<label>: ...``); the sections that finished
+before it are still appended to ``--out``.  An
 unwritable ``--out`` or ``--csv`` is one ``error:`` line and exit 2.
 """
 
@@ -26,6 +28,8 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import Scale
 from repro.bench.report import format_result, write_csv
 from repro.errors import ReproError
+from repro.exp.runner import ConditionFailed
+from repro.exp.suites import suite_of
 
 __all__ = ["main"]
 
@@ -128,6 +132,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         started = time.time()  # lint: disable=no-wall-clock
         try:
             result = run_experiment(experiment_id, scale)
+        except ConditionFailed as error:
+            print(f"error: {suite_of(experiment_id)}/{error}", file=sys.stderr)
+            failed = True
+            break
         except ReproError as error:
             print(f"error: {experiment_id}: {error}", file=sys.stderr)
             failed = True

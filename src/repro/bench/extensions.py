@@ -17,16 +17,10 @@
 
 from __future__ import annotations
 
-from repro.bench.figures import (
-    ExperimentResult,
-    _fmt,
-    _run_exp_spec,
-    _shaped,
-    _spec,
-)
+from repro.bench.figures import ExperimentResult, _fmt, _run_exp_spec, _shaped
 from repro.bench.harness import Scale, run_kv
 from repro.hw.cluster import build_cluster
-from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec, MachineSpec, NicSpec
+from repro.hw.specs import CLUSTER_EUROSYS17
 from repro.sim.core import Simulator
 from repro.workloads.loop import ClosedLoop, kv_operations
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
@@ -36,61 +30,27 @@ __all__ = [
     "run_breakdown",
     "run_ext_ud_rpc",
     "run_ext_lock_bypass",
-    "SYMMETRIC_CLUSTER",
 ]
 
-#: A hypothetical NIC whose issue path is as fast as its serve path:
-#: both pipelines at the CX-3 *out-bound* rate (so neither side gets the
-#: asymmetry windfall and porting-cost arguments are all that remain).
-SYMMETRIC_NIC = NicSpec(
-    name="symmetric-hypothetical",
-    bandwidth_gbps=40.0,
-    inbound_peak_mops=2.11,
-    outbound_peak_mops=2.11,
-    read_extra_us=0.0,
-)
-
-SYMMETRIC_CLUSTER = ClusterSpec(
-    machine=MachineSpec(nic=SYMMETRIC_NIC, cores=16, memory_gb=96), machines=8
-)
+#: ablation-symmetric's ``cluster`` axis -> its row label.
+_NICS = {"testbed": "ConnectX-3 (5.3x asym)", "symmetric": "symmetric (1.0x)"}
 
 
 def run_ablation_symmetric(scale: Scale) -> ExperimentResult:
     """Jakiro vs ServerReply on asymmetric vs symmetric NICs."""
-    spec = _spec(scale)
+    spec, result = _run_exp_spec("ablation-symmetric", scale)
+    mops = {
+        (o.condition.axis["cluster"], o.condition.paradigm): o.metrics["mops"]
+        for o in result.outcomes
+    }
     rows = []
-    for label, cluster_spec in (
-        ("ConnectX-3 (5.3x asym)", CLUSTER_EUROSYS17),
-        ("symmetric (1.0x)", SYMMETRIC_CLUSTER),
-    ):
-        jakiro = run_kv(
-            "jakiro", spec, server_threads=6, scale=scale, cluster_spec=cluster_spec
-        )
-        reply = run_kv(
-            "serverreply",
-            spec,
-            server_threads=6,
-            scale=scale,
-            cluster_spec=cluster_spec,
-        )
-        gain = jakiro.throughput_mops / max(reply.throughput_mops, 1e-9)
-        rows.append(
-            [
-                label,
-                _fmt(jakiro.throughput_mops),
-                _fmt(reply.throughput_mops),
-                _fmt(gain),
-            ]
-        )
-    return ExperimentResult(
-        "ablation-symmetric",
-        "Ablation: remove the in/out-bound asymmetry",
+    for cluster, label in _NICS.items():
+        jakiro, reply = mops[cluster, "jakiro"], mops[cluster, "serverreply"]
+        rows.append([label, _fmt(jakiro), _fmt(reply), _fmt(jakiro / max(reply, 1e-9))])
+    return _shaped(
+        spec,
         ["nic", "jakiro_mops", "serverreply_mops", "rfp_gain"],
         rows,
-        paper_expectation=(
-            "RFP's advantage is built on Observation 1; on a symmetric NIC "
-            "remote fetching should gain ~nothing over server-reply"
-        ),
         observations=(
             f"gain {rows[0][3]}x on CX-3 collapses to {rows[1][3]}x on the "
             "symmetric NIC"

@@ -3,7 +3,8 @@
 Each ``run_*`` function regenerates the rows/series behind one figure and
 returns an :class:`ExperimentResult` carrying the measured data plus the
 paper's reported expectation, so EXPERIMENTS.md can be produced directly
-from these runners.  Absolute numbers come from the calibrated simulator;
+from these runners.  All but fig5, fig6 and params shape the outcomes of
+a declared spec (:mod:`repro.exp.library`) run on the experiment runner.  Absolute numbers come from the calibrated simulator;
 the claims under reproduction are the *shapes* (who wins, by what factor,
 where crossovers fall).
 """
@@ -22,20 +23,11 @@ from repro.bench.calibration import (
     model_inbound_iops,
     outbound_iops_curve,
 )
-from repro.bench.harness import KvRunResult, Scale, run_kv
-from repro.core.config import RfpConfig
+from repro.bench.harness import Scale
 from repro.core.params import derive_retry_bound, derive_size_bounds, select_parameters
-from repro.hw.specs import CONNECTX2, ClusterSpec, MachineSpec
 from repro.sim.random import seeded_rng
-from repro.workloads.value_sizes import FixedValues, UniformValues
-from repro.workloads.ycsb import WorkloadSpec
 
 __all__ = ["ExperimentResult"]
-
-#: The paper's 20 Gbps / 6-machine setup used for the Pilaf comparison.
-CLUSTER_20GBPS = ClusterSpec(
-    machine=MachineSpec(nic=CONNECTX2, cores=16, memory_gb=96), machines=6
-)
 
 
 @dataclass
@@ -55,11 +47,6 @@ def _fmt(value) -> object:
     if isinstance(value, float):
         return round(value, 3)
     return value
-
-
-def _spec(scale: Scale, **kwargs) -> WorkloadSpec:
-    kwargs.setdefault("records", scale.records)
-    return WorkloadSpec(**kwargs)
 
 
 def _run_exp_spec(experiment_id: str, scale: Scale):
@@ -89,14 +76,26 @@ def _shaped(spec, columns, rows, observations: str) -> ExperimentResult:
     )
 
 
-def _process_time_rows(result, paradigms) -> List[List]:
-    """One row per process time: ``P``, then each paradigm's MOPS."""
+#: The §4 comparison's systems in column order, and their MOPS headers.
+_SYSTEMS = ("jakiro", "serverreply", "memcached")
+_SYSTEM_MOPS = [f"{name}_mops" for name in _SYSTEMS]
+
+
+def _grid_rows(outcomes, row_axis, column_axis, columns) -> List[List]:
+    """One row per ``row_axis`` value, in run order: the value, then the
+    MOPS of each of ``columns`` along ``column_axis``."""
     mops = {}
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         axis = outcome.condition.axis
-        mops[axis["process_us"], axis["paradigm"]] = outcome.metrics["mops"]
-    times = dict.fromkeys(process_us for process_us, _ in mops)
-    return [[p] + [_fmt(mops[p, name]) for name in paradigms] for p in times]
+        mops[axis[row_axis], axis[column_axis]] = outcome.metrics["mops"]
+    rows = dict.fromkeys(row for row, _ in mops)
+    return [[row] + [_fmt(mops[row, column]) for column in columns] for row in rows]
+
+
+def _get_percent_rows(outcomes) -> List[List]:
+    """Figs. 16 and 19: one row per GET share, labelled ``95%`` etc."""
+    rows = _grid_rows(outcomes, "get_fraction", "paradigm", _SYSTEMS)
+    return [[f"{round(row[0] * 100)}%"] + row[1:] for row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +209,9 @@ def run_fig6(scale: Scale) -> ExperimentResult:
 def run_fig9(scale: Scale) -> ExperimentResult:
     """Repeated remote fetching vs server-reply across process time."""
     spec, result = _run_exp_spec("fig9", scale)
-    rows = _process_time_rows(result, ("rfp-no-switch", "server-reply"))
+    rows = _grid_rows(
+        result.outcomes, "process_us", "paradigm", ("rfp-no-switch", "server-reply")
+    )
     crossover = next(
         (row[0] for row in rows if row[1] <= 1.10 * row[2]), rows[-1][0]
     )
@@ -276,151 +277,74 @@ def run_params(scale: Scale) -> ExperimentResult:
 
 def run_fig10(scale: Scale) -> ExperimentResult:
     """Jakiro throughput vs number of client threads."""
-    clients = scale.sweep([7, 21, 35, 49, 70], [7, 14, 21, 28, 35, 42, 49, 56, 63, 70])
-    spec = _spec(scale)
-    rows = []
-    for count in clients:
-        result = run_kv(
-            "jakiro", spec, server_threads=6, client_threads=count, scale=scale
-        )
-        rows.append([count, _fmt(result.throughput_mops)])
-    peak = max(row[1] for row in rows)
-    return ExperimentResult(
-        "fig10",
-        "Jakiro throughput vs client threads (95% GET, 32 B)",
-        ["client_threads", "jakiro_mops"],
-        rows,
-        paper_expectation="peak ~5.5 MOPS at 35 threads, slight decline after",
-        observations=f"peak {peak:.2f} MOPS",
-    )
+    spec, result = _run_exp_spec("fig10", scale)
+    rows = [
+        [outcome.condition.axis["client_threads"], _fmt(outcome.metrics["mops"])]
+        for outcome in result.outcomes
+    ]
+    observations = f"peak {max(row[1] for row in rows):.2f} MOPS"
+    return _shaped(spec, ["client_threads", "jakiro_mops"], rows, observations)
 
 
 def run_fig11(scale: Scale) -> ExperimentResult:
     """Jakiro vs Pilaf on the 20 Gbps cluster, 50% GET."""
-    sizes = scale.sweep([32, 128, 256], [32, 64, 128, 256])
-    rows = []
-    for size in sizes:
-        spec = _spec(scale, get_fraction=0.50, value_sizes=FixedValues(size))
-        # Pre-run parameter selection: F grows to cover the fixed response
-        # in one read (the paper re-selects F per workload, §3.2).
-        fetch = max(256, min(1024, size + 48))
-        jakiro = run_kv(
-            "jakiro",
-            spec,
-            server_threads=6,
-            client_threads=25,
-            scale=scale,
-            cluster_spec=CLUSTER_20GBPS,
-            config=RfpConfig(fetch_size=fetch),
-        )
-        pilaf = run_kv(
-            "pilaf",
-            spec,
-            server_threads=1,  # Pilaf's PUT server is single-threaded
-            client_threads=25,
-            scale=scale,
-            cluster_spec=CLUSTER_20GBPS,
-            value_limit=max(256, size),
-        )
-        rows.append(
-            [size, _fmt(jakiro.throughput_mops), _fmt(pilaf.throughput_mops)]
-        )
+    spec, result = _run_exp_spec("fig11", scale)
+    rows = _grid_rows(result.outcomes, "value_bytes", "paradigm", ("jakiro", "pilaf"))
     factor = min(row[1] / row[2] for row in rows if row[2] > 0)
-    return ExperimentResult(
-        "fig11",
-        "Jakiro vs Pilaf, uniform 50% GET, 20 Gbps NICs",
-        ["value_bytes", "jakiro_mops", "pilaf_mops"],
-        rows,
-        paper_expectation=(
-            "Jakiro ~5.4 MOPS vs Pilaf ~1.3 MOPS (about 4x) across "
-            "32-256 B values"
-        ),
-        observations=f"Jakiro/Pilaf factor >= {factor:.1f}x across the sweep",
-    )
+    columns = ["value_bytes", "jakiro_mops", "pilaf_mops"]
+    observations = f"Jakiro/Pilaf factor >= {factor:.1f}x across the sweep"
+    return _shaped(spec, columns, rows, observations)
 
 
 def run_fig12(scale: Scale) -> ExperimentResult:
     """The three systems vs number of server threads."""
-    threads = scale.sweep([1, 2, 4, 6, 10, 16], [1, 2, 4, 6, 8, 10, 12, 14, 16])
-    spec = _spec(scale)
-    rows = []
-    for count in threads:
-        jakiro = run_kv("jakiro", spec, server_threads=count, scale=scale)
-        reply = run_kv("serverreply", spec, server_threads=count, scale=scale)
-        memcached = run_kv("memcached", spec, server_threads=count, scale=scale)
-        rows.append(
-            [
-                count,
-                _fmt(jakiro.throughput_mops),
-                _fmt(reply.throughput_mops),
-                _fmt(memcached.throughput_mops),
-            ]
-        )
+    spec, result = _run_exp_spec("fig12", scale)
+    rows = _grid_rows(result.outcomes, "server_threads", "paradigm", _SYSTEMS)
     peaks = [max(row[i] for row in rows) for i in (1, 2, 3)]
-    return ExperimentResult(
-        "fig12",
-        "Throughput vs server threads (95% GET, 32 B)",
-        ["server_threads", "jakiro_mops", "serverreply_mops", "memcached_mops"],
-        rows,
-        paper_expectation=(
-            "Jakiro 5.5 MOPS from ~2 threads; ServerReply peaks 2.1 at 4-6 "
-            "threads then declines; RDMA-Memcached CPU-bound, rising to "
-            "~1.3 at 16 threads"
-        ),
-        observations=(
-            f"peaks: jakiro {peaks[0]:.2f}, serverreply {peaks[1]:.2f}, "
-            f"memcached {peaks[2]:.2f} MOPS"
-        ),
+    observations = (
+        f"peaks: jakiro {peaks[0]:.2f}, serverreply {peaks[1]:.2f}, "
+        f"memcached {peaks[2]:.2f} MOPS"
     )
+    return _shaped(spec, ["server_threads"] + _SYSTEM_MOPS, rows, observations)
 
 
-def _latency_cdf_rows(results: Dict[str, KvRunResult]) -> List[List]:
-    percentiles = [5, 15, 25, 50, 75, 90, 95, 99]
-    rows = []
-    for p in percentiles:
-        rows.append(
-            [p] + [_fmt(results[name].percentile_latency(p)) for name in results]
-        )
-    rows.append(["mean"] + [_fmt(results[name].mean_latency()) for name in results])
-    return rows
-
-
-def _run_latency_cdf(scale: Scale, distribution: str) -> Dict[str, KvRunResult]:
-    spec = _spec(scale, distribution=distribution)
-    return {
-        "jakiro": run_kv("jakiro", spec, server_threads=6, scale=scale),
-        "serverreply": run_kv("serverreply", spec, server_threads=6, scale=scale),
-        "memcached": run_kv("memcached", spec, server_threads=16, scale=scale),
-    }
+def _latency_cdf(experiment_id: str, scale: Scale) -> ExperimentResult:
+    """Figs. 13 and 20: eight percentiles and the mean per system, and
+    every latency sample as the series."""
+    spec, result = _run_exp_spec(experiment_id, scale)
+    outcomes = {outcome.condition.paradigm: outcome for outcome in result.outcomes}
+    latency = [outcomes[name].samples["latency_us"] for name in _SYSTEMS]
+    means = [outcomes[name].metrics["mean_latency_us"] for name in _SYSTEMS]
+    rows = [
+        [p] + [_fmt(float(np.percentile(samples, p))) for samples in latency]
+        for p in (5, 15, 25, 50, 75, 90, 95, 99)
+    ]
+    rows.append(["mean"] + [_fmt(mean) for mean in means])
+    means_us = (f"{name} {mean:.1f}" for name, mean in zip(_SYSTEMS, means))
+    shaped = _shaped(
+        spec,
+        ["percentile"] + [f"{name}_us" for name in _SYSTEMS],
+        rows,
+        f"means: {', '.join(means_us)} µs",
+    )
+    shaped.series = {name: s.tolist() for name, s in zip(_SYSTEMS, latency)}
+    return shaped
 
 
 def run_fig13(scale: Scale) -> ExperimentResult:
     """Latency CDF at peak throughput, uniform 95% GET."""
-    results = _run_latency_cdf(scale, "uniform")
-    rows = _latency_cdf_rows(results)
-    return ExperimentResult(
-        "fig13",
-        "Latency CDF at peak (uniform, 95% GET, 32 B)",
-        ["percentile", "jakiro_us", "serverreply_us", "memcached_us"],
-        rows,
-        paper_expectation=(
-            "Jakiro mean 5.78 µs (99% < 7 µs); ServerReply mean 12.06 µs "
-            "but lower 15th percentile; Memcached mean 14.76 µs; all have "
-            "tails, Jakiro's shortest"
-        ),
-        observations=(
-            f"means: jakiro {results['jakiro'].mean_latency():.1f}, "
-            f"serverreply {results['serverreply'].mean_latency():.1f}, "
-            f"memcached {results['memcached'].mean_latency():.1f} µs"
-        ),
-        series={name: result.latency_us.tolist() for name, result in results.items()},
-    )
+    return _latency_cdf("fig13", scale)
 
 
 def run_fig14(scale: Scale) -> ExperimentResult:
     """Jakiro vs ServerReply vs Jakiro-without-switch across process time."""
     spec, result = _run_exp_spec("fig14", scale)
-    rows = _process_time_rows(result, ("RFP", "server-reply", "rfp-no-switch"))
+    rows = _grid_rows(
+        result.outcomes,
+        "process_us",
+        "paradigm",
+        ("RFP", "server-reply", "rfp-no-switch"),
+    )
     return _shaped(
         spec,
         ["process_time_us", "jakiro_mops", "serverreply_mops", "jakiro_no_switch_mops"],
@@ -454,191 +378,72 @@ def run_fig15(scale: Scale) -> ExperimentResult:
     )
 
 
-def _ratio_sweep(scale: Scale, distribution: str) -> List[List]:
-    rows = []
-    for get_percent in (95, 50, 5):
-        spec = _spec(
-            scale, get_fraction=get_percent / 100.0, distribution=distribution
-        )
-        jakiro = run_kv("jakiro", spec, server_threads=6, scale=scale)
-        reply = run_kv("serverreply", spec, server_threads=6, scale=scale)
-        memcached = run_kv("memcached", spec, server_threads=16, scale=scale)
-        rows.append(
-            [
-                f"{get_percent}%",
-                _fmt(jakiro.throughput_mops),
-                _fmt(reply.throughput_mops),
-                _fmt(memcached.throughput_mops),
-            ]
-        )
-    return rows
-
-
 def run_fig16(scale: Scale) -> ExperimentResult:
     """Throughput vs GET percentage, uniform."""
-    rows = _ratio_sweep(scale, "uniform")
-    return ExperimentResult(
-        "fig16",
-        "Throughput vs GET percentage (uniform, 32 B)",
-        ["get_percent", "jakiro_mops", "serverreply_mops", "memcached_mops"],
-        rows,
-        paper_expectation=(
-            "Jakiro ~5.5 MOPS at 95/50/5% GET; ServerReply ~2.1 throughout; "
-            "Memcached degrades as writes grow (Jakiro ~14x at 95% PUT)"
-        ),
-        observations=(
-            f"at 5% GET: jakiro {rows[-1][1]}, memcached {rows[-1][3]} MOPS "
-            f"(factor {rows[-1][1] / max(rows[-1][3], 1e-9):.1f}x)"
-        ),
+    spec, result = _run_exp_spec("fig16", scale)
+    rows = _get_percent_rows(result.outcomes)
+    jakiro, memcached = rows[-1][1], rows[-1][3]
+    observations = (
+        f"at 5% GET: jakiro {jakiro}, memcached {memcached} MOPS "
+        f"(factor {jakiro / max(memcached, 1e-9):.1f}x)"
     )
+    return _shaped(spec, ["get_percent"] + _SYSTEM_MOPS, rows, observations)
 
 
 def run_fig17(scale: Scale) -> ExperimentResult:
-    """Throughput vs value size (95% GET, F=640, R=5)."""
-    sizes = scale.sweep(
-        [32, 128, 512, 1024, 2048, 4096, 8192],
-        [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192],
+    """Throughput vs value size (95% GET, F=640, R=5), and the mixed
+    32 B-8 KB workload as the last row."""
+    spec, result = _run_exp_spec("fig17", scale)
+    fixed = [o for o in result.outcomes if "value_max" not in o.condition.axis]
+    mixed = [o for o in result.outcomes if "value_max" in o.condition.axis]
+    rows = _grid_rows(fixed, "value_bytes", "paradigm", _SYSTEMS)
+    rows.append(["32-8192 mix"] + [_fmt(o.metrics["mops"]) for o in mixed])
+    observations = (
+        f"at 32 B: {rows[0][1]} vs {rows[0][2]} vs {rows[0][3]}; "
+        f"mixed: {rows[-1][1]} vs {rows[-1][2]} vs {rows[-1][3]} MOPS"
     )
-    config = RfpConfig(fetch_size=640)
-    rows = []
-    for size in sizes:
-        spec = _spec(scale, value_sizes=FixedValues(size))
-        jakiro = run_kv(
-            "jakiro", spec, server_threads=6, scale=scale, config=config
-        )
-        reply = run_kv("serverreply", spec, server_threads=6, scale=scale)
-        memcached = run_kv("memcached", spec, server_threads=16, scale=scale)
-        rows.append(
-            [
-                size,
-                _fmt(jakiro.throughput_mops),
-                _fmt(reply.throughput_mops),
-                _fmt(memcached.throughput_mops),
-            ]
-        )
-    mixed_spec = _spec(scale, value_sizes=UniformValues(32, 8192))
-    mixed = [
-        run_kv("jakiro", mixed_spec, server_threads=6, scale=scale, config=config),
-        run_kv("serverreply", mixed_spec, server_threads=6, scale=scale),
-        run_kv("memcached", mixed_spec, server_threads=16, scale=scale),
-    ]
-    rows.append(["32-8192 mix"] + [_fmt(r.throughput_mops) for r in mixed])
-    return ExperimentResult(
-        "fig17",
-        "Throughput vs value size (uniform, 95% GET)",
-        ["value_bytes", "jakiro_mops", "serverreply_mops", "memcached_mops"],
-        rows,
-        paper_expectation=(
-            "Jakiro wins 60-280% up to 2 KB; all three converge at 4 KB+ "
-            "(bandwidth); mixed 32B-8KB: 3.58 vs 1.49 vs 1.02 MOPS"
-        ),
-        observations=(
-            f"at 32 B: {rows[0][1]} vs {rows[0][2]} vs {rows[0][3]}; "
-            f"mixed: {rows[-1][1]} vs {rows[-1][2]} vs {rows[-1][3]} MOPS"
-        ),
-    )
+    return _shaped(spec, ["value_bytes"] + _SYSTEM_MOPS, rows, observations)
 
 
 def run_fig18(scale: Scale) -> ExperimentResult:
     """Jakiro throughput under different fetch sizes F."""
-    fetch_sizes = [256, 512, 640, 748, 1024]
-    value_sizes = scale.sweep(
-        [32, 256, 512, 640, 1024, 2048],
-        [32, 64, 128, 256, 384, 512, 640, 768, 1024, 2048],
-    )
-    rows = []
-    for value_size in value_sizes:
-        spec = _spec(scale, value_sizes=FixedValues(value_size))
-        row = [value_size]
-        for fetch in fetch_sizes:
-            result = run_kv(
-                "jakiro",
-                spec,
-                server_threads=6,
-                scale=scale,
-                config=RfpConfig(fetch_size=fetch),
-            )
-            row.append(_fmt(result.throughput_mops))
-        rows.append(row)
-    return ExperimentResult(
-        "fig18",
-        "Jakiro throughput vs fetch size F (uniform, 95% GET)",
-        ["value_bytes"] + [f"F={f}" for f in fetch_sizes],
-        rows,
-        paper_expectation=(
-            "F=640 holds good throughput across 32-640 B values; small F "
-            "pays a second read for large values; F=1024 is bandwidth-bound"
-        ),
-        observations="see per-row optima",
-    )
+    spec, result = _run_exp_spec("fig18", scale)
+    fetch_sizes = spec.axes["fetch_size"]
+    rows = _grid_rows(result.outcomes, "value_bytes", "fetch_size", fetch_sizes)
+    columns = ["value_bytes"] + [f"F={f}" for f in fetch_sizes]
+    return _shaped(spec, columns, rows, "see per-row optima")
 
 
 def run_fig19(scale: Scale) -> ExperimentResult:
     """Throughput vs GET percentage under Zipf(0.99)."""
-    rows = _ratio_sweep(scale, "zipfian")
-    return ExperimentResult(
-        "fig19",
-        "Throughput vs GET percentage (Zipf .99, 32 B)",
-        ["get_percent", "jakiro_mops", "serverreply_mops", "memcached_mops"],
-        rows,
-        paper_expectation=(
-            "Jakiro still ~5.5 MOPS; ServerReply ~2.1; Memcached benefits "
-            "from locality and reaches ~2.1 at 95% GET"
-        ),
-        observations=(
-            f"at 95% GET: jakiro {rows[0][1]}, memcached {rows[0][3]} MOPS"
-        ),
-    )
+    spec, result = _run_exp_spec("fig19", scale)
+    rows = _get_percent_rows(result.outcomes)
+    observations = f"at 95% GET: jakiro {rows[0][1]}, memcached {rows[0][3]} MOPS"
+    return _shaped(spec, ["get_percent"] + _SYSTEM_MOPS, rows, observations)
 
 
 def run_fig20(scale: Scale) -> ExperimentResult:
     """Latency CDF under the skewed read-intensive workload."""
-    results = _run_latency_cdf(scale, "zipfian")
-    rows = _latency_cdf_rows(results)
-    return ExperimentResult(
-        "fig20",
-        "Latency CDF (Zipf .99, 95% GET, 32 B)",
-        ["percentile", "jakiro_us", "serverreply_us", "memcached_us"],
-        rows,
-        paper_expectation="Jakiro best mean latency under skew as well",
-        observations=(
-            f"means: jakiro {results['jakiro'].mean_latency():.1f}, "
-            f"serverreply {results['serverreply'].mean_latency():.1f}, "
-            f"memcached {results['memcached'].mean_latency():.1f} µs"
-        ),
-        series={name: result.latency_us.tolist() for name, result in results.items()},
-    )
+    return _latency_cdf("fig20", scale)
 
 
 def run_tab3(scale: Scale) -> ExperimentResult:
     """Retry counts per workload (Table 3)."""
-    rows = []
-    for distribution in ("uniform", "zipfian"):
-        for get_percent in (95, 5):
-            spec = _spec(
-                scale,
-                distribution=distribution,
-                get_fraction=get_percent / 100.0,
-            )
-            result = run_kv("jakiro", spec, server_threads=6, scale=scale)
-            attempts = np.asarray(result.fetch_attempts, dtype=int)
-            if len(attempts) == 0:
-                rows.append([distribution, f"{get_percent}%", 0.0, 0])
-                continue
-            slow = float(np.mean(attempts > 1) * 100.0)
-            rows.append(
-                [distribution, f"{get_percent}%", _fmt(slow), int(attempts.max())]
-            )
-    return ExperimentResult(
-        "tab3",
-        "Fetch retries N per workload (Table 3)",
+    spec, result = _run_exp_spec("tab3", scale)
+    rows = [
+        [
+            o.condition.workload.distribution,
+            f"{round(o.condition.workload.get_fraction * 100)}%",
+            _fmt(o.metrics["retried_fetch_percent"]),
+            o.metrics["max_fetch_attempts"],
+        ]
+        for o in result.outcomes
+    ]
+    return _shaped(
+        spec,
         ["distribution", "get_percent", "percent_N_gt_1", "largest_N"],
         rows,
-        paper_expectation=(
-            "N>1 for ~0.09-0.13% of requests; largest N between 4 and 9; "
-            "never two consecutive slow calls (no spurious switches)"
-        ),
-        observations="percentages in the same sub-percent decade as the paper",
+        "percentages in the same sub-percent decade as the paper",
     )
 
 

@@ -95,11 +95,14 @@ def run_kv(
     cluster_spec: ClusterSpec = CLUSTER_EUROSYS17,
     value_limit: int = 16384,
     sim: Optional[Simulator] = None,
+    tracer: Optional[Tracer] = None,
 ) -> KvRunResult:
     """Closed-loop run of one KV system under one workload.
 
     ``sim`` lets an orchestrator (:mod:`repro.exp`) supply the fresh
     simulator so its observers see it; by default one is created here.
+    ``tracer`` (on that simulator) reaches an RFP system's server and
+    every client.
     """
     if client_threads < 1:
         raise BenchError("need at least one client thread")
@@ -116,6 +119,7 @@ def run_kv(
         config=config,
         value_limit=value_limit,
         records=workload.records,
+        tracer=tracer,
     )
     generator = YcsbWorkload(workload)
     handle.preload(generator.dataset())

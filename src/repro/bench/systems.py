@@ -2,7 +2,7 @@
 
 Every system exposes the same contract to the harness:
 
-- ``build(sim, cluster, threads, config, value_limit)`` → a system handle,
+- ``build(sim, cluster, threads, config, value_limit, records, tracer)`` → a handle,
 - ``handle.preload(pairs)``,
 - ``handle.connect(machine)`` → a client with ``get(key)``/``put(key,
   value)`` process-body generators, ``busy_time()`` (client CPU µs) and
@@ -29,6 +29,7 @@ from repro.errors import BenchError
 from repro.hw.cluster import Cluster
 from repro.kv.jakiro import Jakiro
 from repro.sim.core import Simulator
+from repro.sim.trace import Tracer
 
 __all__ = ["SYSTEMS", "SystemHandle", "build_system"]
 
@@ -44,32 +45,40 @@ class SystemHandle:
     server_stats: Optional[RfpServerStats]
 
 
-def _build_jakiro(sim, cluster, threads, config, value_limit):
-    if config is None:
-        config = RfpConfig()
+def _build_jakiro(sim, cluster, threads, config, value_limit, records, tracer):
     jakiro = Jakiro(
-        sim, cluster, threads=threads, config=config, max_value_bytes=value_limit
+        sim,
+        cluster,
+        threads=threads,
+        config=config,
+        max_value_bytes=value_limit,
+        tracer=tracer,
     )
     return SystemHandle(
         "jakiro", jakiro, jakiro.preload, jakiro.connect, jakiro.server.stats
     )
 
 
-def _build_serverreply(sim, cluster, threads, config, value_limit):
+def _build_serverreply(sim, cluster, threads, config, value_limit, records, tracer):
     kv = build_serverreply_kv(
-        sim, cluster, threads=threads, config=config, max_value_bytes=value_limit
+        sim,
+        cluster,
+        threads=threads,
+        config=config,
+        max_value_bytes=value_limit,
+        tracer=tracer,
     )
     return SystemHandle("serverreply", kv, kv.preload, kv.connect, kv.server.stats)
 
 
-def _build_memcached(sim, cluster, threads, config, value_limit):
+def _build_memcached(sim, cluster, threads, config, value_limit, records, tracer):
     server = RdmaMemcachedServer(sim, cluster, threads=threads, config=config)
     return SystemHandle(
         "memcached", server, server.preload, server.connect, server.stats
     )
 
 
-def _build_pilaf(sim, cluster, threads, config, value_limit, records=None):
+def _build_pilaf(sim, cluster, threads, config, value_limit, records, tracer):
     # Pilaf runs its cuckoo table at 75% fill (§2.3): size it to the
     # dataset so the probe amplification matches the paper's regime.
     capacity = 32768 if records is None else max(CAPACITY_FLOOR, int(records / 0.75))
@@ -103,15 +112,16 @@ def build_system(
     config: Optional[RfpConfig] = None,
     value_limit: int = 16384,
     records: Optional[int] = None,
+    tracer: Optional[Tracer] = None,
 ) -> SystemHandle:
     """Build one system under test by name.
 
     ``records`` hints the dataset size so Pilaf's fixed-geometry cuckoo
-    table runs at the paper's 75% fill.
+    table runs at the paper's 75% fill.  ``tracer`` reaches the server
+    and every client of the two RFP systems (Jakiro, ServerReply); the
+    others speak no RFP and ignore it.
     """
     builder = SYSTEMS.get(name)
     if builder is None:
         raise BenchError(f"unknown system {name!r}; options: {sorted(SYSTEMS)}")
-    if name == "pilaf":
-        return builder(sim, cluster, threads, config, value_limit, records=records)
-    return builder(sim, cluster, threads, config, value_limit)
+    return builder(sim, cluster, threads, config, value_limit, records, tracer)

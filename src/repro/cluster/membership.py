@@ -59,6 +59,8 @@ class ShardStatus(enum.Enum):
 
 # A module global loads faster than an enum member (docs/sim.md).
 _HEALTHY = ShardStatus.HEALTHY
+_SUSPECT = ShardStatus.SUSPECT
+_DEAD = ShardStatus.DEAD
 
 
 #: ``listener(node, status)`` — invoked on every status change.
@@ -160,9 +162,12 @@ class Membership:
         again), and never resurrects a ``DEAD`` shard — death requires an
         explicit :meth:`rejoin`.
         """
-        status = self.status(node)
+        try:
+            status = self._status[node]
+        except KeyError:
+            status = self.status(node)  # raises: unknown shard
         self._last_beat_us[node] = self.sim.now
-        if status is ShardStatus.SUSPECT:
+        if status is _SUSPECT:
             self._transition(node, ShardStatus.HEALTHY, "heartbeat resumed")
 
     def report_suspect(self, node: str, reason: str = "") -> None:
@@ -235,7 +240,7 @@ class Membership:
             yield self.sim.timeout(self.heartbeat_interval_us)
             now = self.sim.now
             for node in sorted(self._status):
-                if self._status[node] is ShardStatus.DEAD:
+                if self._status[node] is _DEAD:
                     continue
                 silent_us = now - self._last_beat_us[node]
                 if silent_us > self.lease_timeout_us:

@@ -2,9 +2,11 @@
 
 Exit codes follow the convention trajectory tooling scripts against:
 ``0`` success (and, for ``compare``, zero regressions), ``1`` a clean
-comparison that found regressions, ``2`` any usage or artifact error
-(unknown suite, malformed artifact, mismatched schemas) — reported as
-one clear line on stderr, never a traceback.
+comparison that found regressions, or a condition that failed (a
+breached audit, an invariant violation: ``error:
+<suite>/<experiment>/<label>: <reason>``), ``2`` any usage or artifact
+error (unknown suite, malformed artifact, mismatched schemas) — each
+reported as one clear line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.errors import ReproError
 from repro.exp.artifact import load_payload
 from repro.exp.library import SPECS
 from repro.exp.observers import ProgressObserver
-from repro.exp.runner import default_observers
+from repro.exp.runner import ConditionFailed, default_observers
 from repro.exp.suites import SUITES, run_suite
 from repro.exp.trajectory import compare_payloads, format_comparison
 
@@ -113,6 +115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_compare(args)
+    except ConditionFailed as error:
+        print(f"error: {args.suite}/{error}", file=sys.stderr)
+        return 1
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -14,7 +14,9 @@ Five drivers cover the migrated benchmarks:
   9, 14 and 15, the breakdown), HERD-style UC/UD RPC, and the synthetic
   server-bypass corner with its access amplification.
 - ``kv`` — one closed-loop KV run (any registered system) under a YCSB
-  workload; ``python -m repro.bench --spec`` runs on it.
+  workload on a named cluster (:data:`CLUSTERS`): the §4 comparisons
+  (Figs. 10-13 and 16-20, Table 3, the symmetric-NIC ablation) and
+  ``python -m repro.bench --spec``.  Jakiro and ServerReply run checked.
 - ``cluster`` — the full sharded-cluster machinery the three
   ``ext-cluster-*`` benches used to hand-roll: topology build, optional
   tracing with observer-attached invariant checkers, YCSB or
@@ -57,17 +59,17 @@ from repro.core.config import RfpConfig
 from repro.errors import BenchError, ClusterError, ExpError
 from repro.exp.runner import ConditionContext, Driver
 from repro.exp.spec import phases_of
+from repro.hw import CLUSTER_EUROSYS17, CONNECTX2, ClusterSpec, MachineSpec, NicSpec
 from repro.hw.cluster import build_cluster
-from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
 from repro.kv.store import StoreCostModel
 from repro.sim.random import seeded_rng
 from repro.sim.trace import TraceEvent, Tracer
 from repro.workloads.loop import ClosedLoop, kv_operations, repeat
-from repro.workloads.value_sizes import FixedValues
+from repro.workloads.value_sizes import FixedValues, UniformValues
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 from repro.workloads.zipf import ZipfSampler, pin_hot_ranks
 
-__all__ = ["DRIVERS"]
+__all__ = ["CLUSTERS", "DRIVERS"]
 
 _SEQ = struct.Struct("<Q")
 
@@ -210,6 +212,17 @@ class _PhaseSplit:
         }
 
 
+def _publish_rfp_tracer(ctx: ConditionContext, kind: str, config: RfpConfig) -> Tracer:
+    """Publish an RFP tracer on the condition's simulator that stores
+    nothing (observers still see every event), for channels of ``kind``
+    ``rfp`` or ``server-reply``.  ``config`` is what those channels
+    really run: a server-reply server pins the hybrid off."""
+    if kind == "server-reply":
+        config = replace(config, hybrid_enabled=False)
+    tracer = Tracer(ctx.simulator, categories=[])
+    return ctx.publish_tracer("rfp", tracer, kind, rfp_config=config)
+
+
 def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
     """One paradigm condition.  An RC one publishes an RFP tracer that
     stores nothing, with the configuration the run really uses, for the
@@ -235,13 +248,11 @@ def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
     config = RfpConfig(
         fetch_size=int(condition.settings.get("fetch_size", RfpConfig.fetch_size))
     )
-    checked = config if mode == "rfp" else replace(config, hybrid_enabled=False)
     sim = ctx.make_simulator()
-    tracer = ctx.publish_tracer(
-        "rfp",
-        Tracer(sim, categories=[]),
+    tracer = _publish_rfp_tracer(
+        ctx,
         "server-reply" if mode == "serverreply" else "rfp",
-        rfp_config=checked,
+        replace(config, hybrid_enabled=False) if mode == "rfp-no-switch" else config,
     )
     split = _PhaseSplit()
     tracer.subscribe(split.observe)
@@ -272,29 +283,83 @@ def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
 # ----------------------------------------------------------------------
 
 
+#: The clusters a ``kv`` condition runs on, by its ``cluster`` setting:
+#: the testbed, the paper's six-machine 20 Gbps ConnectX-2 setup of the
+#: Pilaf comparison, and a hypothetical NIC whose issue path is as fast
+#: as its serve path — both at the CX-3 out-bound rate, so neither side
+#: gets the asymmetry windfall (the ablation of Observation 1).
+CLUSTERS: Dict[str, ClusterSpec] = {
+    "testbed": CLUSTER_EUROSYS17,
+    "20gbps": ClusterSpec(MachineSpec(CONNECTX2), machines=6),
+    "symmetric": ClusterSpec(
+        MachineSpec(
+            NicSpec(
+                name="symmetric-hypothetical",
+                bandwidth_gbps=40.0,
+                inbound_peak_mops=2.11,
+                outbound_peak_mops=2.11,
+                read_extra_us=0.0,
+            )
+        )
+    ),
+}
+
+#: The KV systems that speak RFP, and the kind their tracer is checked
+#: as; RDMA-Memcached and Pilaf run unchecked.
+_RFP_SYSTEMS = {"jakiro": "rfp", "serverreply": "server-reply"}
+
+
 def run_kv_condition(ctx: ConditionContext) -> Mapping[str, object]:
+    """One closed-loop KV run.  Settings: ``cluster`` (a :data:`CLUSTERS`
+    name), ``fetch_size`` (F), ``value_limit`` (the largest value the
+    server stores) and ``value_max`` (values uniform from ``value_bytes``
+    to it).  The latency samples go to ``ctx.samples``."""
     condition = ctx.condition
+    settings = condition.settings
+    cluster = str(settings.get("cluster", "testbed"))
+    if cluster not in CLUSTERS:
+        raise ExpError(f"unknown cluster {cluster!r}; options: {sorted(CLUSTERS)}")
+    low, high = condition.workload.value_bytes, settings.get("value_max")
     workload = WorkloadSpec(
         records=condition.workload.resolve_records(condition.scale),
         get_fraction=condition.workload.get_fraction,
         distribution=condition.workload.distribution,
-        value_sizes=FixedValues(condition.workload.value_bytes),
+        value_sizes=FixedValues(low) if high is None else UniformValues(low, int(high)),
         seed=condition.workload.seed,
     )
+    # Only when set: RDMA-Memcached reads None as its own hybrid-off config.
+    fetch_size = settings.get("fetch_size")
+    config = None if fetch_size is None else RfpConfig(fetch_size=int(fetch_size))
+    sim = ctx.make_simulator()
+    kind = _RFP_SYSTEMS.get(condition.paradigm)
+    tracer = None
+    if kind is not None:
+        tracer = _publish_rfp_tracer(ctx, kind, config or RfpConfig())
     result = run_kv(
         condition.paradigm,
         workload,
         server_threads=condition.topology.server_threads,
         client_threads=condition.topology.client_threads,
         scale=condition.scale,
-        sim=ctx.make_simulator(),
+        config=config,
+        cluster_spec=CLUSTERS[cluster],
+        value_limit=int(settings.get("value_limit", 16384)),
+        sim=sim,
+        tracer=tracer,
     )
+    ctx.samples["latency_us"] = result.latency_us
+    # Table 3's retry share and most tries; a system that never fetches
+    # reads 0 and 0.
+    attempts = np.asarray(result.fetch_attempts or [0], dtype=int)
     return {
         "mops": result.throughput_mops,
         "operations": result.operations_completed,
         "mean_latency_us": result.mean_latency(),
+        "p50_latency_us": result.percentile_latency(50),
         "p99_latency_us": result.percentile_latency(99),
         "client_cpu_utilization": result.client_cpu_utilization,
+        "retried_fetch_percent": float(np.mean(attempts > 1) * 100.0),
+        "max_fetch_attempts": int(attempts.max()),
     }
 
 

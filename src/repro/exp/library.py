@@ -45,6 +45,12 @@ _CRASH_BASE: Dict[str, object] = {
 #: Figs. 14 and 15 sweep the same process times (µs).
 _PROCESS_TIMES = Sweep((1, 3, 5, 7, 9, 12), tuple(range(1, 13)))
 
+#: The three systems of Figs. 12, 13, 16, 17, 19 and 20.
+_SYSTEMS = ("jakiro", "serverreply", "memcached")
+
+#: RDMA-Memcached runs 16 server threads wherever threads are not swept.
+_MEMCACHED_16 = {"memcached": {"server_threads": 16}}
+
 SPECS: Dict[str, ExperimentSpec] = {
     "fig3": ExperimentSpec(
         experiment_id="fig3",
@@ -140,6 +146,166 @@ SPECS: Dict[str, ExperimentSpec] = {
         paper_expectation=(
             "~100% while remote fetching (P < 7 µs); drops below 30% once "
             "the client switches to server-reply"
+        ),
+    ),
+    "fig10": ExperimentSpec(
+        experiment_id="fig10",
+        title="Jakiro throughput vs client threads (95% GET, 32 B)",
+        driver="kv",
+        base={"paradigm": "jakiro"},
+        axes={
+            "client_threads": Sweep(
+                (7, 21, 35, 49, 70), (7, 14, 21, 28, 35, 42, 49, 56, 63, 70)
+            )
+        },
+        paper_expectation="peak ~5.5 MOPS at 35 threads, slight decline after",
+    ),
+    "fig11": ExperimentSpec(
+        experiment_id="fig11",
+        title="Jakiro vs Pilaf, uniform 50% GET, 20 Gbps NICs",
+        driver="kv",
+        base={"cluster": "20gbps", "get_fraction": 0.5, "client_threads": 25},
+        axes={
+            "value_bytes": Sweep((32, 128), (32, 64, 128)),
+            "paradigm": ("jakiro", "pilaf"),
+        },
+        # F covers a 256 B value and its header in one read (the paper
+        # re-selects F per workload, §3.2); smaller values keep F = 256.
+        extras=(
+            {"value_bytes": 256, "paradigm": "jakiro", "fetch_size": 304},
+            {"value_bytes": 256, "paradigm": "pilaf"},
+        ),
+        # Pilaf's PUT server is single-threaded.
+        per_paradigm={"pilaf": {"server_threads": 1, "value_limit": 256}},
+        paper_expectation=(
+            "Jakiro ~5.4 MOPS vs Pilaf ~1.3 MOPS (about 4x) across "
+            "32-256 B values"
+        ),
+    ),
+    "fig12": ExperimentSpec(
+        experiment_id="fig12",
+        title="Throughput vs server threads (95% GET, 32 B)",
+        driver="kv",
+        axes={
+            "server_threads": Sweep(
+                (1, 2, 4, 6, 10, 16), (1, 2, 4, 6, 8, 10, 12, 14, 16)
+            ),
+            "paradigm": _SYSTEMS,
+        },
+        paper_expectation=(
+            "Jakiro 5.5 MOPS from ~2 threads; ServerReply peaks 2.1 at 4-6 "
+            "threads then declines; RDMA-Memcached CPU-bound, rising to "
+            "~1.3 at 16 threads"
+        ),
+    ),
+    "fig13": ExperimentSpec(
+        experiment_id="fig13",
+        title="Latency CDF at peak (uniform, 95% GET, 32 B)",
+        driver="kv",
+        axes={"paradigm": _SYSTEMS},
+        per_paradigm=_MEMCACHED_16,
+        paper_expectation=(
+            "Jakiro mean 5.78 µs (99% < 7 µs); ServerReply mean 12.06 µs "
+            "but lower 15th percentile; Memcached mean 14.76 µs; all have "
+            "tails, Jakiro's shortest"
+        ),
+    ),
+    "fig16": ExperimentSpec(
+        experiment_id="fig16",
+        title="Throughput vs GET percentage (uniform, 32 B)",
+        driver="kv",
+        axes={"get_fraction": (0.95, 0.5, 0.05), "paradigm": _SYSTEMS},
+        per_paradigm=_MEMCACHED_16,
+        paper_expectation=(
+            "Jakiro ~5.5 MOPS at 95/50/5% GET; ServerReply ~2.1 throughout; "
+            "Memcached degrades as writes grow (Jakiro ~14x at 95% PUT)"
+        ),
+    ),
+    "fig17": ExperimentSpec(
+        experiment_id="fig17",
+        title="Throughput vs value size (uniform, 95% GET)",
+        driver="kv",
+        axes={
+            "value_bytes": Sweep(
+                (32, 128, 512, 1024, 2048, 4096, 8192),
+                (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192),
+            ),
+            "paradigm": _SYSTEMS,
+        },
+        # The mixed workload: values uniform from 32 B to 8 KB.
+        extras=tuple(
+            {"value_bytes": 32, "value_max": 8192, "paradigm": system}
+            for system in _SYSTEMS
+        ),
+        setting_axes=("value_max",),
+        per_paradigm={"jakiro": {"fetch_size": 640}, **_MEMCACHED_16},
+        paper_expectation=(
+            "Jakiro wins 60-280% up to 2 KB; all three converge at 4 KB+ "
+            "(bandwidth); mixed 32B-8KB: 3.58 vs 1.49 vs 1.02 MOPS"
+        ),
+    ),
+    "fig18": ExperimentSpec(
+        experiment_id="fig18",
+        title="Jakiro throughput vs fetch size F (uniform, 95% GET)",
+        driver="kv",
+        base={"paradigm": "jakiro"},
+        axes={
+            "value_bytes": Sweep(
+                (32, 256, 512, 640, 1024, 2048),
+                (32, 64, 128, 256, 384, 512, 640, 768, 1024, 2048),
+            ),
+            "fetch_size": (256, 512, 640, 748, 1024),
+        },
+        setting_axes=("fetch_size",),
+        paper_expectation=(
+            "F=640 holds good throughput across 32-640 B values; small F "
+            "pays a second read for large values; F=1024 is bandwidth-bound"
+        ),
+    ),
+    "fig19": ExperimentSpec(
+        experiment_id="fig19",
+        title="Throughput vs GET percentage (Zipf .99, 32 B)",
+        driver="kv",
+        base={"distribution": "zipfian"},
+        axes={"get_fraction": (0.95, 0.5, 0.05), "paradigm": _SYSTEMS},
+        per_paradigm=_MEMCACHED_16,
+        paper_expectation=(
+            "Jakiro still ~5.5 MOPS; ServerReply ~2.1; Memcached benefits "
+            "from locality and reaches ~2.1 at 95% GET"
+        ),
+    ),
+    "fig20": ExperimentSpec(
+        experiment_id="fig20",
+        title="Latency CDF (Zipf .99, 95% GET, 32 B)",
+        driver="kv",
+        base={"distribution": "zipfian"},
+        axes={"paradigm": _SYSTEMS},
+        per_paradigm=_MEMCACHED_16,
+        paper_expectation="Jakiro best mean latency under skew as well",
+    ),
+    "tab3": ExperimentSpec(
+        experiment_id="tab3",
+        title="Fetch retries N per workload (Table 3)",
+        driver="kv",
+        base={"paradigm": "jakiro"},
+        axes={"distribution": ("uniform", "zipfian"), "get_fraction": (0.95, 0.05)},
+        paper_expectation=(
+            "N>1 for ~0.09-0.13% of requests; largest N between 4 and 9; "
+            "never two consecutive slow calls (no spurious switches)"
+        ),
+    ),
+    "ablation-symmetric": ExperimentSpec(
+        experiment_id="ablation-symmetric",
+        title="Ablation: remove the in/out-bound asymmetry",
+        driver="kv",
+        axes={
+            "cluster": ("testbed", "symmetric"),
+            "paradigm": ("jakiro", "serverreply"),
+        },
+        setting_axes=("cluster",),
+        paper_expectation=(
+            "RFP's advantage is built on Observation 1; on a symmetric NIC "
+            "remote fetching should gain ~nothing over server-reply"
         ),
     ),
     "ext-ud-rpc": ExperimentSpec(

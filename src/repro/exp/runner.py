@@ -11,6 +11,8 @@ knowing any observer exists.
 Wall-clock seconds per condition are captured around the driver call and
 carried as host-dependent data — they are flagged ``unpinned`` in run
 artifacts and never participate in determinism checks.
+A failed condition (a breached audit, a checker's violation) stops the
+run with :class:`ConditionFailed`; a malformed spec stays an ``ExpError``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.bench.harness import Scale
 from repro.core.config import RfpConfig
-from repro.errors import ExpError
+from repro.errors import BenchError, ExpError, ReproError
 from repro.exp.observers import RunObserver
 from repro.exp.spec import Condition, ExperimentSpec
 from repro.sim.core import Simulator
@@ -29,6 +33,7 @@ from repro.sim.trace import Tracer
 
 __all__ = [
     "ConditionContext",
+    "ConditionFailed",
     "ConditionOutcome",
     "Driver",
     "ExperimentRunner",
@@ -39,13 +44,19 @@ __all__ = [
 Driver = Callable[["ConditionContext"], Mapping[str, object]]
 
 
+class ConditionFailed(BenchError):
+    """One condition failed: ``<experiment>/<label>: <reason>``."""
+
+
 class ConditionContext:
     """What a driver sees while running one condition.
 
     ``make_simulator`` / ``publish_tracer`` exist so lifecycle observers
     are told about the simulator and every tracer; ``checkers`` is
     populated by an :class:`~repro.exp.observers.InvariantObserver` (if
-    subscribed) and read back by driver-side audits.
+    subscribed) and read back by driver-side audits.  ``samples`` holds
+    per-operation arrays (latencies) for report shaping; they reach the
+    outcome, never the artifact.
     """
 
     def __init__(
@@ -57,6 +68,7 @@ class ConditionContext:
         self.simulator: Optional[Simulator] = None
         self.tracers: Dict[str, Tracer] = {}
         self.checkers: Dict[str, object] = {}
+        self.samples: Dict[str, np.ndarray] = {}
         self._notify = notify
 
     def make_simulator(self) -> Simulator:
@@ -98,6 +110,8 @@ class ConditionOutcome:
     metrics: Dict[str, object]
     #: Host-dependent; recorded for trajectory, never asserted.
     wall_s: float
+    #: The driver's per-operation arrays; not written to artifacts.
+    samples: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,18 +130,6 @@ class RunResult:
             f"{self.spec.experiment_id}: no condition labelled {label!r} "
             f"(have {[o.condition.label for o in self.outcomes]})"
         )
-
-    def by_axis(self, **coords: object) -> List[ConditionOutcome]:
-        """Outcomes whose axis coordinates match every given key."""
-        return [
-            outcome
-            for outcome in self.outcomes
-            if all(
-                outcome.condition.axis.get(key) == value
-                for key, value in coords.items()
-            )
-        ]
-
 
 class ExperimentRunner:
     """Expand a spec and run every condition under the observers."""
@@ -165,15 +167,21 @@ class ExperimentRunner:
         for index, condition in enumerate(conditions):
             context = ConditionContext(condition, self._notify)
             self._notify("condition_started")(context, index, total)
-            # Host wall time around the driver call — recorded as
-            # unpinned trajectory data, never fed back into the model.
-            started = time.perf_counter()  # lint: disable=no-wall-clock
-            metrics = driver(context)
-            wall_s = time.perf_counter() - started  # lint: disable=no-wall-clock
-            outcome = ConditionOutcome(
-                condition=condition, metrics=dict(metrics), wall_s=wall_s
-            )
-            self._notify("condition_finished")(context, outcome, index, total)
+            try:
+                # Host wall time around the driver call — recorded as
+                # unpinned trajectory data, never fed back into the model.
+                started = time.perf_counter()  # lint: disable=no-wall-clock
+                metrics = driver(context)
+                wall_s = time.perf_counter() - started  # lint: disable=no-wall-clock
+                outcome = ConditionOutcome(
+                    condition, dict(metrics), wall_s, context.samples
+                )
+                self._notify("condition_finished")(context, outcome, index, total)
+            except ExpError:
+                raise
+            except ReproError as error:
+                where = f"{spec.experiment_id}/{condition.label}"
+                raise ConditionFailed(f"{where}: {error}") from error
             result.outcomes.append(outcome)
         self._notify("run_finished")(result)
         return result

@@ -19,7 +19,7 @@ scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.bench.harness import Scale
@@ -146,28 +146,21 @@ class Condition:
     settings: Mapping[str, object] = field(default_factory=dict)
 
     def describe(self) -> Dict[str, object]:
-        """A JSON-friendly record of the condition for artifacts."""
+        """A JSON-friendly record of the condition for artifacts: every
+        field and setting, records resolved, phases as lists."""
+        workload = asdict(self.workload)
+        workload["records"] = self.workload.resolve_records(self.scale)
         return {
             "paradigm": self.paradigm,
-            "workload": {
-                "kind": self.workload.kind,
-                "records": self.workload.resolve_records(self.scale),
-                "get_fraction": self.workload.get_fraction,
-                "value_bytes": self.workload.value_bytes,
-                "distribution": self.workload.distribution,
-                "seed": self.workload.seed,
+            "workload": workload,
+            "topology": asdict(self.topology),
+            "faults": [asdict(point) for point in self.faults],
+            "settings": {
+                key: [[p.name, p.start_frac, p.end_frac] for p in value]
+                if key == "phases"
+                else value
+                for key, value in self.settings.items()
             },
-            "topology": {
-                "machines": self.topology.machines,
-                "shards": self.topology.shards,
-                "replication_factor": self.topology.replication_factor,
-                "server_threads": self.topology.server_threads,
-                "client_threads": self.topology.client_threads,
-            },
-            "faults": [
-                {"at_frac": f.at_frac, "action": f.action, "shard": f.shard}
-                for f in self.faults
-            ],
             "axis": dict(self.axis),
         }
 
@@ -249,6 +242,10 @@ class ExperimentSpec:
     #: sweep them (e.g. ``rebalance`` on/off) without tripping the
     #: unknown-axis guard below; they also name an extra in its label.
     setting_axes: Tuple[str, ...] = ()
+    #: Paradigm -> settings for its conditions only (a system's own
+    #: thread count, say).  They apply over ``base``; an axis value or
+    #: an extra's own key wins, and they never enter a label.
+    per_paradigm: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     paper_expectation: str = ""
 
     def __post_init__(self) -> None:
@@ -256,6 +253,16 @@ class ExperimentSpec:
             raise ExpError("experiment_id must be non-empty")
         if not self.driver:
             raise ExpError(f"{self.experiment_id}: driver must be non-empty")
+        swept = self.axes.get("paradigm", ())
+        if isinstance(swept, Sweep):
+            swept = swept.fast + swept.full
+        produced = {self.base.get("paradigm"), *swept}
+        produced.update(extra.get("paradigm") for extra in self.extras)
+        for paradigm in set(self.per_paradigm) - produced:
+            raise ExpError(
+                f"{self.experiment_id}: per-paradigm settings for "
+                f"{paradigm!r}, which no condition runs"
+            )
         for name in self.axes:
             if name in self.setting_axes:
                 continue
@@ -267,6 +274,14 @@ class ExperimentSpec:
                 f"{self.experiment_id}: axis {name!r} is not a workload, "
                 "topology, paradigm, or faults dimension"
             )
+
+    def _merged(self, point: Mapping[str, object]) -> Dict[str, object]:
+        """``base``, then the point's paradigm's settings, then the point."""
+        merged = dict(self.base)
+        paradigm = str(point.get("paradigm", merged.get("paradigm", "default")))
+        merged.update(self.per_paradigm.get(paradigm, {}))
+        merged.update(point)
+        return merged
 
     def expand(self, scale: Scale) -> Tuple[Condition, ...]:
         """Materialize the condition grid for one measurement scale."""
@@ -286,15 +301,13 @@ class ExperimentSpec:
         seen = set()
         for point in itertools.product(*value_lists) if names else [()]:
             axis = dict(zip(names, point))
-            merged = dict(self.base)
-            merged.update(axis)
+            merged = self._merged(axis)
             label = _axis_label(axis)
             conditions.append(
                 _route(self.experiment_id, label, merged, axis, scale)
             )
         for extra in self.extras:
-            merged = dict(self.base)
-            merged.update(extra)
+            merged = self._merged(extra)
             axis = {
                 key: value
                 for key, value in extra.items()

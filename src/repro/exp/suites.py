@@ -26,7 +26,11 @@ __all__ = ["SUITES", "check_exp_registry", "run_suite", "suite_artifact_path"]
 #: Suite name -> ordered spec ids.  The artifact is ``BENCH_<suite>.json``.
 SUITES: Dict[str, Tuple[str, ...]] = {
     "core": ("fig3", "fig4", "tab1"),
-    "paper": ("fig9", "fig14", "fig15", "ext-ud-rpc", "breakdown"),
+    "paper": (
+        "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+        "fig17", "fig18", "fig19", "fig20", "tab3", "ablation-symmetric",
+        "ext-ud-rpc", "breakdown",
+    ),
     "cluster": (
         "ext-cluster-scaling",
         "ext-cluster-failover",
@@ -38,6 +42,11 @@ SUITES: Dict[str, Tuple[str, ...]] = {
 
 #: src/repro/exp/suites.py -> repo root.
 _REPO_ROOT = Path(__file__).resolve().parents[3]
+
+
+def suite_of(spec_id: str) -> str:
+    """The suite whose artifact holds ``spec_id``."""
+    return next(suite for suite, members in SUITES.items() if spec_id in members)
 
 
 def suite_artifact_path(suite: str, out_dir: Optional[str] = None) -> str:

@@ -404,11 +404,12 @@ class RfpInvariantChecker:
             raise InvariantViolation(self.violations[-1])
 
     def assert_clean(self) -> None:
-        """Raise :class:`InvariantViolation` if anything was recorded."""
+        """Raise :class:`InvariantViolation` (the count and the first) if
+        anything was recorded."""
         if self.violations:
-            summary = "\n  ".join(self.violations)
             raise InvariantViolation(
-                f"{len(self.violations)} RFP invariant violation(s):\n  {summary}"
+                f"{len(self.violations)} RFP invariant violation(s), the "
+                f"first: {self.violations[0]}"
             )
 
     @property
@@ -938,12 +939,12 @@ class ClusterInvariantChecker:
     # ------------------------------------------------------------------
 
     def assert_clean(self) -> None:
-        """Raise :class:`InvariantViolation` if anything was recorded."""
+        """Raise :class:`InvariantViolation` (the count and the first) if
+        anything was recorded."""
         if self.violations:
-            summary = "\n  ".join(self.violations)
             raise InvariantViolation(
-                f"{len(self.violations)} cluster invariant violation(s):"
-                f"\n  {summary}"
+                f"{len(self.violations)} cluster invariant violation(s), the "
+                f"first: {self.violations[0]}"
             )
 
     def open_lock_leases(self) -> List[Tuple[int, str]]:

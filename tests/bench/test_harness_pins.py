@@ -25,6 +25,8 @@ from repro.bench.calibration import (
     measure_outbound_iops,
 )
 from repro.bench.harness import Scale, run_controlled_process_time, run_kv
+from repro.core.mode import Mode
+from repro.exp.library import SPECS
 from repro.exp.observers import RunObserver
 from repro.exp.runner import ExperimentRunner, default_observers
 from repro.exp.spec import ExperimentSpec, Phase
@@ -142,11 +144,11 @@ class _LastContext(RunObserver):
         self.context = context
 
 
-def run_paradigm_condition(**base):
-    """One checked ``paradigm`` condition at TINY scale."""
+def run_paradigm_condition(driver="paradigm", **base):
+    """One checked condition of ``driver`` at TINY scale."""
     last = _LastContext()
     spec = ExperimentSpec(
-        experiment_id="pin-paradigm", title="paradigm", driver="paradigm", base=base
+        experiment_id=f"pin-{driver}", title=driver, driver=driver, base=base
     )
     runner = ExperimentRunner(observers=(*default_observers(), last))
     (outcome,) = runner.run(spec, TINY).outcomes
@@ -201,6 +203,50 @@ def test_serverreply_condition_runs_checked():
     checker = context.checkers["rfp"]
     assert checker.config.fetch_size == 16
     assert (checker.events_checked, checker.violations) == (2_890, [])
+
+
+@pytest.mark.parametrize("system", ["jakiro", "serverreply"])
+def test_kv_condition_runs_checked_and_matches_run_kv(system):
+    # The kv driver publishes a tracer that stores nothing: the checked
+    # run makes exactly the operations and dispatches of the untraced
+    # run_kv pin above, and its checker saw the run without a violation.
+    metrics, context = run_paradigm_condition(
+        "kv",
+        paradigm=system,
+        records=256,
+        get_fraction=0.5,
+        server_threads=2,
+        client_threads=6,
+    )
+    assert (metrics["operations"], context.simulator.dispatched) == KV_PINS[system][:2]
+    checker = context.checkers["rfp"]
+    assert checker.initial_mode is (
+        Mode.REMOTE_FETCH if system == "jakiro" else Mode.SERVER_REPLY
+    )
+    assert checker.events_checked > 0
+    assert checker.violations == []
+
+
+def test_tab3_metrics_match_run_kv_fetch_attempts():
+    result = ExperimentRunner(observers=default_observers()).run(SPECS["tab3"], TINY)
+    retried = 0
+    for outcome in result.outcomes:
+        workload = outcome.condition.workload
+        attempts = np.asarray(
+            run_kv(
+                "jakiro",
+                WorkloadSpec(
+                    records=256,
+                    get_fraction=workload.get_fraction,
+                    distribution=workload.distribution,
+                ),
+                scale=TINY,
+            ).fetch_attempts
+        )
+        assert outcome.metrics["retried_fetch_percent"] == np.mean(attempts > 1) * 100
+        assert outcome.metrics["max_fetch_attempts"] == attempts.max()
+        retried += int(np.sum(attempts > 1))
+    assert retried > 0
 
 
 def test_raw_verb_probes_pinned():

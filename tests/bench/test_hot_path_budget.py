@@ -98,7 +98,7 @@ CLUSTER_PRELOAD_PAIRS = 8_192
 CALLS_PER_CLUSTER_PAIR = 2.538
 
 #: Enum members loaded from their class per routed operation, at most.
-ENUM_LOADS_PER_ROUTED_OP = 0.1
+ENUM_LOADS_PER_ROUTED_OP = 0.0
 
 #: Headroom before a budget trips.
 BUDGET = 1.05

@@ -1,5 +1,7 @@
-"""CLI error paths: every failure is one stderr line and exit 2 — never
-a traceback — and compare's exit code distinguishes clean from regressed."""
+"""CLI error paths: every failure is one stderr line — never a
+traceback — with exit 2 for usage and artifact errors and exit 1 for a
+failed condition, and compare's exit code distinguishes clean from
+regressed."""
 
 import json
 
@@ -26,6 +28,17 @@ def toy_artifact(tmp_path, name, mops):
     return write_payload(payload, str(tmp_path / name))
 
 
+def plant_breaching_raw_verbs(monkeypatch):
+    """Replace the ``raw-verbs`` driver with one whose audit breaches."""
+    from repro.errors import BenchError
+    from repro.exp.drivers import DRIVERS
+
+    def breaching(context):
+        raise BenchError("audit breached")
+
+    monkeypatch.setitem(DRIVERS, "raw-verbs", breaching)
+
+
 class TestExpCli:
     def test_unknown_suite_exits_2_with_message(self, capsys):
         assert exp_main(["run", "nope"]) == 2
@@ -33,6 +46,18 @@ class TestExpCli:
         assert captured.err.startswith("error:")
         assert "unknown suite" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_failed_condition_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        plant_breaching_raw_verbs(monkeypatch)
+        code = exp_main(["run", "core", "--quiet", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: core/fig3/server_threads=1: audit breached"
+        ]
+        assert not (tmp_path / "BENCH_core.json").exists()
 
     def test_list_names_every_suite(self, capsys):
         assert exp_main(["list"]) == 0
@@ -198,6 +223,18 @@ class TestBenchCli:
         ]
         assert "Traceback" not in err
         assert "== quick: Quick ==" in out.read_text(encoding="utf-8")
+
+    def test_failed_condition_prints_the_line_repro_exp_prints(
+        self, capsys, monkeypatch
+    ):
+        from repro.bench.cli import main as bench_main
+
+        plant_breaching_raw_verbs(monkeypatch)
+        assert bench_main(["fig3"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: core/fig3/server_threads=1: audit breached"
+        ]
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     @pytest.mark.parametrize("branch", ["experiments", "spec"])

@@ -1,16 +1,18 @@
 """Runner lifecycle: observer hooks, context discipline, result lookup."""
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import Scale
 from repro.core.mode import Mode
-from repro.errors import ExpError
+from repro.errors import BenchError, ExpError
 from repro.exp.observers import (
     InvariantObserver,
     ProgressObserver,
     RunObserver,
 )
-from repro.exp.runner import ExperimentRunner
+from repro.exp.runner import ConditionFailed, ExperimentRunner
+from repro.lint.invariants import RfpInvariantChecker
 from repro.exp.spec import ExperimentSpec
 
 FAST = Scale.fast()
@@ -147,7 +149,7 @@ class TestObservers:
 
 
 class TestRunResult:
-    def test_outcome_lookup_and_axis_filter(self):
+    def test_outcome_lookup(self):
         runner = ExperimentRunner(drivers={"fake": fake_driver})
         result = runner.run(
             toy_spec(axes={"server_threads": (1, 2), "value_bytes": (32, 64)}),
@@ -157,7 +159,55 @@ class TestRunResult:
             result.outcome("server_threads=2,value_bytes=64").metrics["mops"]
             == 2.0
         )
-        assert len(result.by_axis(server_threads=2)) == 2
-        assert len(result.by_axis(server_threads=2, value_bytes=64)) == 1
         with pytest.raises(ExpError, match="no condition labelled"):
             result.outcome("nope")
+
+    def test_samples_reach_the_outcome(self):
+        def sampling(context):
+            context.make_simulator()
+            context.samples["latency_us"] = np.array([1.0, 2.0])
+            return {"mops": 1.0}
+
+        runner = ExperimentRunner(drivers={"fake": sampling})
+        (outcome,) = runner.run(toy_spec(), FAST).outcomes
+        assert outcome.samples["latency_us"].tolist() == [1.0, 2.0]
+        assert set(outcome.metrics) == {"mops"}
+
+
+class TestConditionFailed:
+    def test_a_driver_error_names_its_condition(self):
+        def breaching(context):
+            if context.condition.topology.server_threads == 2:
+                raise BenchError("audit breached")
+            return {"mops": 1.0}
+
+        runner = ExperimentRunner(drivers={"fake": breaching})
+        with pytest.raises(ConditionFailed) as failed:
+            runner.run(toy_spec(axes={"server_threads": (1, 2)}), FAST)
+        assert str(failed.value) == "toy/server_threads=2: audit breached"
+
+    def test_a_violation_is_one_line_with_count_and_first(self):
+        def violated(context):
+            checker = RfpInvariantChecker()
+            checker.violations += ["t=1.000 [call_done] first", "t=2.000 [x] second"]
+            context.register_checker("rfp", checker)
+            return {"mops": 1.0}
+
+        runner = ExperimentRunner(
+            observers=[InvariantObserver()], drivers={"fake": violated}
+        )
+        with pytest.raises(ConditionFailed) as failed:
+            runner.run(toy_spec(), FAST)
+        assert str(failed.value) == (
+            "toy/base: 2 RFP invariant violation(s), the first: "
+            "t=1.000 [call_done] first"
+        )
+
+    def test_a_spec_error_stays_an_exp_error(self):
+        def misdeclared(context):
+            raise ExpError("unknown cluster audit 'x'")
+
+        runner = ExperimentRunner(drivers={"fake": misdeclared})
+        with pytest.raises(ExpError) as raised:
+            runner.run(toy_spec(), FAST)
+        assert not isinstance(raised.value, ConditionFailed)

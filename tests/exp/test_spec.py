@@ -1,14 +1,19 @@
 """Spec routing, matrix expansion, sweeps, labels, and phase layout."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.bench.harness import Scale
 from repro.errors import ExpError
+from repro.exp.library import SPECS
 from repro.exp.spec import (
     ExperimentSpec,
     FaultPoint,
     Phase,
     Sweep,
+    Topology,
     Workload,
     phases_of,
 )
@@ -128,6 +133,55 @@ class TestExpansion:
             toy(axes={"server_threads": ()}).expand(FAST)
 
 
+class TestPerParadigm:
+    def spec(self):
+        return toy(
+            base={"server_threads": 6, "fetch_size": 256},
+            axes={"paradigm": ("jakiro", "memcached")},
+            extras=({"paradigm": "memcached", "server_threads": 2, "value_bytes": 64},),
+            per_paradigm={"memcached": {"server_threads": 16, "fetch_size": 640}},
+        )
+
+    def test_settings_apply_over_base_to_their_paradigm_only(self):
+        jakiro, memcached, _ = self.spec().expand(FAST)
+        assert jakiro.topology.server_threads == 6
+        assert jakiro.settings == {"fetch_size": 256}
+        assert memcached.topology.server_threads == 16
+        assert memcached.settings == {"fetch_size": 640}
+
+    def test_axis_value_and_extra_override_them(self):
+        spec = toy(
+            axes={"paradigm": ("memcached",), "server_threads": (1, 2)},
+            per_paradigm={"memcached": {"server_threads": 16}},
+        )
+        assert [c.topology.server_threads for c in spec.expand(FAST)] == [1, 2]
+        extra = self.spec().expand(FAST)[-1]
+        assert extra.topology.server_threads == 2
+        assert extra.settings == {"fetch_size": 640}
+
+    def test_they_stay_out_of_the_label(self):
+        labels = [c.label for c in self.spec().expand(FAST)]
+        assert labels == [
+            "paradigm=jakiro",
+            "paradigm=memcached",
+            "paradigm=memcached,server_threads=2,value_bytes=64",
+        ]
+
+    def test_paradigm_no_condition_runs_refused_at_declaration(self):
+        with pytest.raises(ExpError, match="'pilaf', which no condition runs"):
+            toy(
+                axes={"paradigm": Sweep(("jakiro",), ("jakiro", "memcached"))},
+                per_paradigm={"pilaf": {"server_threads": 1}},
+            )
+        # A paradigm of the full sweep, the base or an extra is produced.
+        toy(
+            base={"paradigm": "jakiro"},
+            axes={"paradigm": Sweep(("jakiro",), ("jakiro", "memcached"))},
+            extras=({"paradigm": "pilaf"},),
+            per_paradigm={"memcached": {}, "pilaf": {}},
+        )
+
+
 class TestWorkloadRecords:
     def test_default_follows_scale(self):
         assert Workload().resolve_records(FAST) == FAST.records
@@ -187,3 +241,42 @@ class TestDescribe:
         assert description["faults"] == [
             {"at_frac": 0.5, "action": "kill", "shard": "s"}
         ]
+        assert json.loads(json.dumps(description)) == description
+
+    def test_every_workload_and_topology_field_is_recorded(self):
+        (condition,) = toy().expand(FAST)
+        description = condition.describe()
+        assert set(description["workload"]) == {f.name for f in fields(Workload)}
+        assert set(description["topology"]) == {f.name for f in fields(Topology)}
+
+    def test_fig9_records_its_fetch_size_and_response(self):
+        condition = SPECS["fig9"].expand(FAST)[0]
+        description = condition.describe()
+        assert description["settings"]["fetch_size"] == 16
+        assert description["workload"]["response_bytes"] == 1
+
+    def test_failover_records_its_phases_and_settings(self):
+        (condition,) = SPECS["ext-cluster-failover"].expand(FAST)
+        settings = condition.describe()["settings"]
+        assert settings["phases"] == [
+            ["pre", 0.25, 0.5],
+            ["dip", 0.5, 0.6],
+            ["post", 0.6, 1.0],
+        ]
+        assert settings["consecutive_slow_calls"] == 1
+        assert settings["zero_jitter"] is True
+        assert settings["audit"] == "failover"
+
+    def test_fig17_mixed_condition_label_and_bounds(self):
+        (mixed,) = [
+            c
+            for c in SPECS["fig17"].expand(FAST)
+            if "value_max" in c.axis and c.paradigm == "jakiro"
+        ]
+        assert mixed.label == "value_bytes=32,value_max=8192,paradigm=jakiro"
+        # Every comma separates two key=value pairs: none sits in a value.
+        assert all(pair.count("=") == 1 for pair in mixed.label.split(","))
+        description = mixed.describe()
+        assert description["workload"]["value_bytes"] == 32
+        assert description["settings"]["value_max"] == 8192
+        assert description["settings"]["fetch_size"] == 640

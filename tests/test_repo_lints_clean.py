@@ -227,3 +227,23 @@ def test_only_the_engine_touches_its_queues():
         if isinstance(node, ast.Attribute) and node.attr in ENGINE_QUEUES
     ]
     assert sites == [], sites
+
+
+def test_only_the_kv_driver_runs_kv_loops():
+    """A KV measurement is a ``kv`` spec: in ``src`` only the ``kv``
+    driver, the calibration self-check and ext-lock-bypass's Jakiro half
+    call ``run_kv(``, so a new hand-written KV loop fails here."""
+    sites = set()
+    for path, tree in shipped_code():
+        if not path.startswith("src"):
+            continue
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and any(
+                True for _ in calls_to(function, "run_kv")
+            ):
+                sites.add((path, function.name))
+    assert sites == {
+        (os.path.join("src", "repro", "exp", "drivers.py"), "run_kv_condition"),
+        (os.path.join("src", "repro", "bench", "validation.py"), "run_validation"),
+        (os.path.join("src", "repro", "bench", "extensions.py"), "run_ext_lock_bypass"),
+    }, sorted(sites)
