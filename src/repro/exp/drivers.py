@@ -311,14 +311,21 @@ _RFP_SYSTEMS = {"jakiro": "rfp", "serverreply": "server-reply"}
 
 def run_kv_condition(ctx: ConditionContext) -> Mapping[str, object]:
     """One closed-loop KV run.  Settings: ``cluster`` (a :data:`CLUSTERS`
-    name), ``fetch_size`` (F), ``value_limit`` (the largest value the
-    server stores) and ``value_max`` (values uniform from ``value_bytes``
-    to it).  The latency samples go to ``ctx.samples``."""
+    name, whose machine count the topology must state), ``fetch_size``
+    (F), ``value_limit`` (the largest value the server stores) and
+    ``value_max`` (values uniform from ``value_bytes`` to it).  The
+    latency samples go to ``ctx.samples``."""
     condition = ctx.condition
     settings = condition.settings
     cluster = str(settings.get("cluster", "testbed"))
     if cluster not in CLUSTERS:
         raise ExpError(f"unknown cluster {cluster!r}; options: {sorted(CLUSTERS)}")
+    machines = CLUSTERS[cluster].machines
+    if condition.topology.machines != machines:
+        raise BenchError(
+            f"cluster {cluster!r} has {machines} machines, "
+            f"topology says {condition.topology.machines}"
+        )
     low, high = condition.workload.value_bytes, settings.get("value_max")
     workload = WorkloadSpec(
         records=condition.workload.resolve_records(condition.scale),

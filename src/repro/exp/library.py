@@ -164,7 +164,12 @@ SPECS: Dict[str, ExperimentSpec] = {
         experiment_id="fig11",
         title="Jakiro vs Pilaf, uniform 50% GET, 20 Gbps NICs",
         driver="kv",
-        base={"cluster": "20gbps", "get_fraction": 0.5, "client_threads": 25},
+        base={
+            "cluster": "20gbps",
+            "machines": 6,
+            "get_fraction": 0.5,
+            "client_threads": 25,
+        },
         axes={
             "value_bytes": Sweep((32, 128), (32, 64, 128)),
             "paradigm": ("jakiro", "pilaf"),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import RegistrationError
-from repro.hw.memory import Arena, MemoryRegion
+from repro.hw.memory import MemoryRegion
 from repro.hw.rnic import RNIC
 from repro.hw.specs import MachineSpec
 from repro.sim.core import Simulator
@@ -24,7 +24,6 @@ class Machine:
         self.spec = spec
         self.name = name
         self.rnic = RNIC(sim, spec.nic, owner_name=name)
-        self._arena = Arena()
         # Running tally for the budget check; summing per registration
         # turns region-heavy setups (cluster rejoin) quadratic.
         self._in_use_bytes = 0
@@ -37,11 +36,10 @@ class Machine:
         """Allocate and register ``size`` bytes with the RNIC.
 
         Mirrors ``malloc_buf`` in the RFP API (Table 2): RDMA verbs only
-        accept registered regions.  The bytes are carved from this
-        machine's :class:`~repro.hw.memory.Arena` without being written:
-        the region reads as zeros and becomes resident only as it is
-        written.  The budget of ``spec.memory_gb`` counts registered
-        bytes, resident or not.
+        accept registered regions.  The region reads as zeros and holds
+        host memory only up to the furthest byte an access reaches (see
+        :class:`~repro.hw.memory.MemoryRegion`).  The budget of
+        ``spec.memory_gb`` counts registered bytes, reached or not.
         """
         budget = self.spec.memory_gb * (1 << 30)
         if self._in_use_bytes + size > budget:
@@ -50,7 +48,7 @@ class Machine:
             )
         if size <= 0:
             raise RegistrationError(f"region size must be positive, got {size}")
-        region = MemoryRegion(self, self._arena.carve(size), name=name)
+        region = MemoryRegion(self, size, name=name)
         self._in_use_bytes += size
         return region
 

@@ -201,8 +201,9 @@ class Endpoint:
     # the arrival order of ops from every issuer.
     #
     # The one-sided stages copy through the region's view: the post
-    # checked the bounds, and a deregistered region fails through
-    # ``_check`` as ``read_local``/``write_local`` would.
+    # checked the bounds, and a stage that ends past the region's extent
+    # or finds it deregistered goes through ``_reach`` as ``read_local``
+    # and ``write_local`` do, which grows the bytes or raises.
 
     def _issued_unreliably(self, op: tuple) -> None:
         # Unreliable transports complete at issue time and may drop the
@@ -278,8 +279,8 @@ class Endpoint:
 
     def _read_served(self, op: tuple) -> None:
         _, size, _, _, _, remote_mr, remote_offset = op
-        if not remote_mr._registered:
-            remote_mr._check(remote_offset, size)
+        if remote_offset + size > remote_mr._extent or not remote_mr._registered:
+            remote_mr._reach(remote_offset, size)
         snapshot = remote_mr._view[remote_offset : remote_offset + size].tobytes()
         self.sim.schedule(
             self._backward_us + self.machine.rnic.spec.read_extra_us,
@@ -290,8 +291,8 @@ class Endpoint:
 
     def _read_delivered(self, op: tuple, snapshot: bytes) -> None:
         _, size, completion, local_mr, local_offset, _, _ = op
-        if not local_mr._registered:
-            local_mr._check(local_offset, size)
+        if local_offset + size > local_mr._extent or not local_mr._registered:
+            local_mr._reach(local_offset, size)
         local_mr._view[local_offset : local_offset + size] = snapshot
         completion.trigger(size)
 
@@ -335,6 +336,8 @@ class Endpoint:
         ):
             self._check_regions(local_mr, local_offset, remote_mr, remote_offset, size)
 
+        if local_offset + size > local_mr._extent:
+            local_mr._reach(local_offset, size)
         sim = self.sim
         completion = Event(sim) if signaled else None
         op = (
@@ -355,8 +358,8 @@ class Endpoint:
 
     def _write_served(self, op: tuple) -> None:
         _, size, completion, remote_mr, remote_offset, payload, on_delivery = op
-        if not remote_mr._registered:
-            remote_mr._check(remote_offset, size)
+        if remote_offset + size > remote_mr._extent or not remote_mr._registered:
+            remote_mr._reach(remote_offset, size)
         remote_mr._view[remote_offset : remote_offset + size] = payload
         if on_delivery is not None:
             on_delivery()

@@ -1,10 +1,10 @@
 """Resident-memory budget: host memory per registered region and per RFP
 connection.
 
-Registered regions read as zeros and become resident page by page as
-they are written (:mod:`repro.hw.memory`), so registering a buffer costs
-address space, not resident memory, until a run writes into it.  Two
-counts hold that:
+Registered regions read as zeros and hold host memory only for the
+64-byte lines up to the furthest byte an access has reached
+(:mod:`repro.hw.memory`), so registering a buffer costs a small object,
+not its size, until a run touches it.  Two counts hold that:
 
 - registering 2,000 regions of 16 KiB (31.25 MiB registered) on one
   machine;
@@ -29,9 +29,9 @@ import repro
 STATM = "/proc/self/statm"
 
 #: Resident growth allowed for registering the 2,000 regions.
-REGIONS_BUDGET_MIB = 4.0
+REGIONS_BUDGET_MIB = 0.5
 #: Resident growth allowed per RFP connection.
-CONNECTION_BUDGET_KIB = 40.0
+CONNECTION_BUDGET_KIB = 12.0
 CONNECTIONS = 35 * 6
 
 PRELUDE = """

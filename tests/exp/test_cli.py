@@ -59,6 +59,29 @@ class TestExpCli:
         ]
         assert not (tmp_path / "BENCH_core.json").exists()
 
+    def test_kv_condition_contradicting_its_cluster_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The 20 Gbps cluster builds six machines; a fig11 that leaves
+        # the topology at its default eight must not run and record 8.
+        import dataclasses
+
+        import repro.exp.suites
+        from repro.exp.library import SPECS
+
+        base = {k: v for k, v in SPECS["fig11"].base.items() if k != "machines"}
+        monkeypatch.setitem(
+            SPECS, "fig11", dataclasses.replace(SPECS["fig11"], base=base)
+        )
+        monkeypatch.setitem(repro.exp.suites.SUITES, "paper", ("fig11",))
+        code = exp_main(["run", "paper", "--quiet", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: paper/fig11/value_bytes=32,paradigm=jakiro: "
+            "cluster '20gbps' has 6 machines, topology says 8"
+        ]
+        assert not (tmp_path / "BENCH_paper.json").exists()
+
     def test_list_names_every_suite(self, capsys):
         assert exp_main(["list"]) == 0
         out = capsys.readouterr().out

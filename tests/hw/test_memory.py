@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import RegistrationError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
-from repro.hw import memory
-from repro.hw.memory import ARENA_CHUNK_BYTES, staged_write
+from repro.hw import machine as machine_module
+from repro.hw.memory import staged_write
 from repro.sim import Simulator
 
 
@@ -29,33 +29,35 @@ class TestMemoryRegion:
 
     def test_starts_zeroed(self, machine):
         _, m = machine
-        region = m.register_memory(16)
-        assert region.read_local(0, 16) == bytes(16)
-        region = m.register_memory(16384)
-        assert region.read_local(0, 16384) == bytes(16384)
-        # Too big for what is left of the chunk: it opens a new one.
-        size = ARENA_CHUNK_BYTES - 1024
+        for size in (16, 16384, (4 << 20) + 4096):
+            region = m.register_memory(size)
+            assert region.read_local(0, size) == bytes(size)
+
+    @pytest.mark.parametrize(
+        "size", [16384, (4 << 20) + 4096], ids=["16KiB", "over-4MiB"]
+    )
+    def test_zeros_past_the_reached_extent(self, machine, size):
+        _, m = machine
         region = m.register_memory(size)
-        assert region.read_local(0, size) == bytes(size)
+        region.write_local(0, b"head")
+        # The region holds the one line written; a read past it reads
+        # zeros, and the region then holds the lines that read reached.
+        assert region._extent == 64
+        assert region.read_local(0, 4) == b"head"
+        assert region.read_local(4, 200) == bytes(200)
+        assert region._extent == 256
+        region.write_local(size - 4, b"tail")
+        assert region._extent == size
+        assert region.read_local(size - 4, 4) == b"tail"
+        assert region.read_local(4, size - 8) == bytes(size - 8)
 
     def test_filling_a_region_leaves_its_neighbours_zero(self, machine):
         _, m = machine
-        # 128 B is a multiple of the alignment: the three regions abut.
         before, region, after = (m.register_memory(128) for _ in range(3))
         region.fill(0, region.size, 0xFF)
         assert region.read_local(0, 128) == b"\xff" * 128
         assert before.read_local(0, 128) == bytes(128)
         assert after.read_local(0, 128) == bytes(128)
-
-    def test_region_larger_than_a_chunk_round_trips_at_both_ends(self, machine):
-        _, m = machine
-        size = ARENA_CHUNK_BYTES + 4096
-        region = m.register_memory(size)
-        region.write_local(0, b"head")
-        region.write_local(size - 4, b"tail")
-        assert region.read_local(0, 4) == b"head"
-        assert region.read_local(size - 4, 4) == b"tail"
-        assert region.read_local(4, size - 8) == bytes(size - 8)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_writes_are_private(self, machine):
@@ -131,16 +133,23 @@ class TestMemoryRegion:
         assert m.registered_bytes() == 50
 
     def test_memory_budget_enforced(self, machine, monkeypatch):
+        # A refused registration builds no region and books no bytes.
         _, m = machine
-        mapped = []
-        real_map = memory._map
+        built = []
+        real_region = machine_module.MemoryRegion
         monkeypatch.setattr(
-            memory, "_map", lambda size: mapped.append(size) or real_map(size)
+            machine_module,
+            "MemoryRegion",
+            lambda *args, **kwargs: built.append(args) or real_region(*args, **kwargs),
         )
         with pytest.raises(RegistrationError, match=f"exceeds {m.spec.memory_gb} GB"):
             m.register_memory(m.spec.memory_gb * (1 << 30) + 1)
-        assert mapped == []
+        with pytest.raises(RegistrationError, match="must be positive"):
+            m.register_memory(0)
+        assert built == []
         assert m.registered_bytes() == 0
+        m.register_memory(64)
+        assert len(built) == 1
 
 
 class TestStagedWrite:

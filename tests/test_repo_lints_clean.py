@@ -229,6 +229,30 @@ def test_only_the_engine_touches_its_queues():
     assert sites == [], sites
 
 
+REGION_OWNERS = {
+    os.path.join("src", "repro", "hw", "memory.py"),
+    os.path.join("src", "repro", "hw", "verbs.py"),
+}
+REGION_BYTES = {"_view", "_extent"}
+
+
+def test_only_memory_and_verbs_touch_region_bytes():
+    """A region holds bytes only up to its ``_extent``, and a slice of
+    its ``_view`` past that silently comes back short: every access must
+    compare with the extent and grow the region first.  In ``src`` and
+    ``examples`` only ``repro/hw/memory.py`` and the verb stages in
+    ``repro/hw/verbs.py`` read or write a region's ``_view`` or
+    ``_extent``."""
+    sites = [
+        (path, node.lineno, node.attr)
+        for path, tree in shipped_code()
+        if path not in REGION_OWNERS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in REGION_BYTES
+    ]
+    assert sites == [], sites
+
+
 def test_only_the_kv_driver_runs_kv_loops():
     """A KV measurement is a ``kv`` spec: in ``src`` only the ``kv``
     driver, the calibration self-check and ext-lock-bypass's Jakiro half
