@@ -27,14 +27,15 @@ from typing import Generator, Optional, Sequence, Tuple
 from repro.core.config import RfpConfig
 from repro.core.headers import REQUEST_HEADER_BYTES, RequestHeader
 from repro.core.mode import Mode
-from repro.core.rpc import RpcClient
+from repro.core.rpc import RPC_MALFORMED, RPC_NO_FUNCTION, RpcClient
 from repro.core.server import ClientChannel, RfpServer
-from repro.errors import KVError
+from repro.errors import KVError, ProtocolError
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.kv.serialization import (
     GET_FUNCTION,
     PUT_FUNCTION,
+    STATUS_MALFORMED,
     STATUS_NOT_FOUND,
     STATUS_OK,
     pack_get_request,
@@ -167,23 +168,31 @@ class RdmaMemcachedServer(RfpServer):
             payload = channel.request_region.read_local(
                 REQUEST_HEADER_BYTES, header.size
             )
-            function_id = payload[0]
-            arguments = payload[2:]
-            response = yield from self._execute(function_id, arguments)
+            response = yield from self._execute(payload)
             self._publish_response(channel, header.status, response)
             yield from self._send_reply(channel)
 
-    def _execute(self, function_id: int, arguments: bytes) -> Generator:
+    def _execute(self, payload: bytes) -> Generator:
+        """Decode, take the lock, run the request; returns the response.
+        A request that does not decode is answered before the lock, with
+        no process time, like the RPC stubs answer one."""
         sim = self.sim
         cost = self.cost_model
-        if function_id == GET_FUNCTION:
-            key = unpack_get_request(arguments)
-            lock_us, process_us = cost.get_lock_us, cost.get_process_us
-        elif function_id == PUT_FUNCTION:
-            key, value = unpack_put_request(arguments)
-            lock_us, process_us = cost.put_lock_us, cost.put_process_us
-        else:
-            raise KVError(f"unknown memcached function {function_id}")
+        if len(payload) < 2:
+            return bytes([RPC_MALFORMED])
+        function_id = payload[0]
+        arguments = payload[2:]
+        try:
+            if function_id == GET_FUNCTION:
+                key = unpack_get_request(arguments)
+                lock_us, process_us = cost.get_lock_us, cost.get_process_us
+            elif function_id == PUT_FUNCTION:
+                key, value = unpack_put_request(arguments)
+                lock_us, process_us = cost.put_lock_us, cost.put_process_us
+            else:
+                return bytes([RPC_NO_FUNCTION])
+        except ProtocolError:
+            return bytes([STATUS_MALFORMED])
         # Hot keys shortcut both the lookup work *and* the time spent
         # under the global lock (warm hash walk) — this is why skewed
         # read-heavy load lets memcached finally reach the out-bound

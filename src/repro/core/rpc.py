@@ -25,11 +25,14 @@ __all__ = [
     "RPC_OK",
     "RPC_APP_ERROR",
     "RPC_NO_FUNCTION",
+    "RPC_MALFORMED",
 ]
 
 RPC_OK = 0
 RPC_APP_ERROR = 1
 RPC_NO_FUNCTION = 2
+#: The request is shorter than its function-id and status prefix.
+RPC_MALFORMED = 3
 
 _REQUEST_PREFIX = struct.Struct("<BB")
 _RESPONSE_PREFIX = struct.Struct("<B")
@@ -55,9 +58,11 @@ class RpcServer:
         self._table[function_id] = handler
 
     def handle(self, payload: bytes, context) -> Tuple[bytes, float]:
-        """The ``RfpServer`` handler: unmarshal, dispatch, marshal."""
+        """The ``RfpServer`` handler: unmarshal, dispatch, marshal.  A runt
+        request is answered with :data:`RPC_MALFORMED` at no cost, so the
+        server thread goes on serving."""
         if len(payload) < _REQUEST_PREFIX.size:
-            raise ProtocolError(f"runt RPC request of {len(payload)} bytes")
+            return _RESPONSE_PREFIX.pack(RPC_MALFORMED), 0.0
         handler = self._table[payload[0]]
         if handler is None:
             return _RESPONSE_PREFIX.pack(RPC_NO_FUNCTION), 0.0

@@ -11,7 +11,9 @@ metrics.  The payload separates two kinds of data explicitly:
 - **host-dependent** — wall-clock seconds, carried under ``unpinned``
   keys so trajectory tooling can show them while determinism checks and
   :mod:`repro.exp.trajectory` comparisons ignore them structurally
-  (nothing needs a field-by-field skip list).
+  (nothing needs a field-by-field skip list): each condition's driver
+  time, and the whole suite's under a top-level ``unpinned`` when the
+  run was timed.
 
 ``repro.exp/v1`` is the one artifact schema: every repo-root
 ``BENCH_<suite>.json`` is written by a suite of :mod:`repro.exp.suites`.
@@ -91,11 +93,14 @@ def build_payload(
     suite: str,
     results: Sequence,
     scale,
+    wall_s: Optional[float] = None,
 ) -> Dict[str, object]:
     """Assemble the artifact payload for one suite run.
 
     ``results`` is a sequence of :class:`~repro.exp.runner.RunResult`;
-    ``scale`` the :class:`~repro.bench.harness.Scale` they all ran at.
+    ``scale`` the :class:`~repro.bench.harness.Scale` they all ran at;
+    ``wall_s`` the suite's host wall time, recorded as a top-level
+    ``unpinned: {"wall_s": ...}`` when given.
     """
     experiments: List[Dict[str, object]] = []
     for result in results:
@@ -125,7 +130,7 @@ def build_payload(
         "records": int(scale.records),
         "full": bool(scale.full),
     }
-    return {
+    payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "suite": suite,
         "note": (
@@ -137,6 +142,9 @@ def build_payload(
         "provenance": provenance,
         "experiments": experiments,
     }
+    if wall_s is not None:
+        payload["unpinned"] = {"wall_s": round(wall_s, 4)}
+    return payload
 
 
 def deterministic_view(payload: Mapping[str, object]) -> Dict[str, object]:
@@ -252,6 +260,8 @@ ARTIFACT_SCHEMA: Dict[str, Sequence[Field]] = {
         Field("metrics", (dict,), non_empty=True),
         Field("unpinned", (dict,)),
     ),
+    #: The optional top-level ``unpinned``: the suite's host wall time.
+    "unpinned": (Field("wall_s", (int, float)),),
 }
 
 
@@ -277,6 +287,10 @@ def validate_artifact(
     _check_fields(
         provenance["scale"], ARTIFACT_SCHEMA["scale"], f"{where}.provenance.scale"
     )
+    if "unpinned" in root:
+        _check_fields(
+            root["unpinned"], ARTIFACT_SCHEMA["unpinned"], f"{where}.unpinned"
+        )
     seen_ids = set()
     for index, experiment in enumerate(root["experiments"]):  # type: ignore[index]
         exp_where = f"{where}.experiments[{index}]"

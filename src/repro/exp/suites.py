@@ -12,6 +12,7 @@ belong to a suite, so nothing silently drops out of the artifacts.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +62,11 @@ def run_suite(
     out_dir: Optional[str] = None,
     write: bool = True,
 ) -> Tuple[Dict[str, object], List[RunResult], Optional[str]]:
-    """Run one suite; returns ``(payload, results, path_written)``."""
+    """Run one suite; returns ``(payload, results, path_written)``.  The
+    payload records the suite's host wall time, unpinned."""
+    # Host wall time around the whole suite: unpinned trajectory data,
+    # never fed back into the model.
+    started = time.perf_counter()  # lint: disable=no-wall-clock
     spec_ids = SUITES.get(suite)
     if spec_ids is None:
         raise ExpError(
@@ -71,7 +76,8 @@ def run_suite(
         observers=default_observers() if observers is None else observers
     )
     results = [runner.run(SPECS[spec_id], scale) for spec_id in spec_ids]
-    payload = build_payload(suite, results, scale)
+    wall_s = time.perf_counter() - started  # lint: disable=no-wall-clock
+    payload = build_payload(suite, results, scale, wall_s)
     path: Optional[str] = None
     if write:
         path = write_payload(payload, suite_artifact_path(suite, out_dir))

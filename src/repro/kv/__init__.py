@@ -19,6 +19,7 @@ from repro.kv.jakiro import Jakiro, JakiroClient
 from repro.kv.serialization import (
     GET_FUNCTION,
     PUT_FUNCTION,
+    STATUS_MALFORMED,
     STATUS_NOT_FOUND,
     STATUS_OK,
     STATUS_TOO_LARGE,
@@ -36,6 +37,7 @@ __all__ = [
     "JakiroClient",
     "JakiroStore",
     "PUT_FUNCTION",
+    "STATUS_MALFORMED",
     "STATUS_NOT_FOUND",
     "STATUS_OK",
     "STATUS_TOO_LARGE",

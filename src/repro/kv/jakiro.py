@@ -22,9 +22,13 @@ stays beneath the stubs without a generator frame per layer.
 A request the store rejects (a key or value over its size limits) is
 answered with :data:`~repro.kv.serialization.STATUS_TOO_LARGE`, and so
 is a GET of a stored value too large for the response buffer (a preload
-or a recovery transfer skips the request-size check a PUT meets); the
-client raises :class:`~repro.errors.KVError` and the server thread goes
-on serving.
+or a recovery transfer skips the request-size check a PUT meets).
+Arguments that do not decode (a runt, a key shorter than its declared
+length, a GET with trailing bytes) are answered with
+:data:`~repro.kv.serialization.STATUS_MALFORMED`, and a request shorter
+than the RPC prefix with :data:`~repro.core.rpc.RPC_MALFORMED`.  Either
+way the client raises :class:`~repro.errors.KVError` and the server
+thread goes on serving.
 """
 
 from __future__ import annotations
@@ -36,12 +40,18 @@ from repro.core.config import RfpConfig
 from repro.core.headers import RESPONSE_HEADER_BYTES
 from repro.core.rpc import RESPONSE_PREFIX_BYTES, RPC_OK, RpcClient, RpcServer
 from repro.core.server import RequestContext, RfpServer
-from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
+from repro.errors import (
+    KVError,
+    KeyTooLargeError,
+    ProtocolError,
+    ValueTooLargeError,
+)
 from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.kv.serialization import (
     GET_FUNCTION,
     PUT_FUNCTION,
+    STATUS_MALFORMED,
     STATUS_NOT_FOUND,
     STATUS_OK,
     STATUS_TOO_LARGE,
@@ -159,7 +169,12 @@ class Jakiro:
     def _handle_get(
         self, arguments: bytes, context: RequestContext
     ) -> Tuple[int, bytes, float]:
-        key = unpack_get_request(arguments)
+        try:
+            key = unpack_get_request(arguments)
+        except ProtocolError:
+            # Decoding runs before the store charges any cost or draws
+            # from its RNG, so a malformed request costs nothing.
+            return STATUS_MALFORMED, b"", 0.0
         value, cost = self.store.get(context.thread_id, key)
         if value is None:
             return STATUS_NOT_FOUND, b"", cost
@@ -170,7 +185,10 @@ class Jakiro:
     def _handle_put(
         self, arguments: bytes, context: RequestContext
     ) -> Tuple[int, bytes, float]:
-        key, value = unpack_put_request(arguments)
+        try:
+            key, value = unpack_put_request(arguments)
+        except ProtocolError:
+            return STATUS_MALFORMED, b"", 0.0
         try:
             _evicted, cost = self.store.put(context.thread_id, key, value)
         except (KeyTooLargeError, ValueTooLargeError):

@@ -22,6 +22,7 @@ __all__ = [
     "STATUS_OK",
     "STATUS_NOT_FOUND",
     "STATUS_TOO_LARGE",
+    "STATUS_MALFORMED",
     "pack_get_request",
     "unpack_get_request",
     "pack_put_request",
@@ -36,6 +37,8 @@ STATUS_OK = 0
 STATUS_NOT_FOUND = 16
 #: The store rejected a key or value over its size limits.
 STATUS_TOO_LARGE = 17
+#: The arguments do not decode: a runt, a short key or trailing bytes.
+STATUS_MALFORMED = 18
 
 _KEY_LEN = struct.Struct("<H")
 

@@ -8,6 +8,12 @@ EREW (Exclusive Read Exclusive Write): each thread owns a disjoint range
 of the key space and only ever touches its own partition, so there is no
 locking anywhere on the serving path.
 
+A bucket is one flat list of ``(key, value, last_used)`` triples in slot
+order, ``[k0, v0, s0, k1, v1, s1, ...]``: a resident pair costs three
+list entries and its stamp, and no per-pair object the collector tracks.
+A hit rewrites its stamp in place and an eviction deletes the victim's
+three entries, so slot order is insertion order among survivors.
+
 :class:`StoreCostModel` converts each executed operation into the CPU
 time the server thread is charged, including a configurable heavy-tail
 jitter that reproduces the paper's "0.2% of requests have unexpectedly
@@ -35,9 +41,14 @@ from repro.sim.monitor import Counter
 __all__ = ["JakiroStore", "StoreCostModel", "partition_of", "key_hash", "key_hashes"]
 
 SLOTS_PER_BUCKET = 8
+#: List entries per slot: key, value, ``last_used`` stamp.
+_STRIDE = 3
 
 #: Most uniforms drawn per step of :meth:`StoreCostModel.advance`.
 _ADVANCE_CHUNK = 4096
+#: Most settled buckets :meth:`JakiroStore._place` writes per step, so its
+#: scratch list of triples stays bounded whatever the batch size.
+_PLACE_CHUNK = 4096
 
 
 #: Memoized key digests.  Pure-function cache: benches route every op's
@@ -72,18 +83,17 @@ def key_hashes(keys: Sequence[bytes]) -> np.ndarray:
     return np.fromiter(digests, dtype=np.uint64, count=len(keys))
 
 
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """The values that occur more than once in ``values``, sorted."""
+    ordered = np.sort(values)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
+
+
 def partition_of(key: bytes, partitions: int) -> int:
     """EREW owner partition of ``key`` — shared by clients and server."""
     if partitions < 1:
         raise KVError(f"partitions must be >= 1, got {partitions}")
     return key_hash(key) % partitions
-
-
-@dataclass(slots=True)
-class _Slot:
-    key: bytes
-    value: bytes
-    last_used: int
 
 
 @dataclass
@@ -150,7 +160,8 @@ class JakiroStore:
     """The partitioned bucket/slot structure with strict per-bucket LRU.
 
     ``_buckets[partition][index]`` is ``None`` until the bucket's first
-    insert, then a list of at most :data:`SLOTS_PER_BUCKET` slots.
+    insert, then a flat list of at most :data:`SLOTS_PER_BUCKET`
+    ``(key, value, last_used)`` triples, ``[k0, v0, s0, k1, v1, s1, ...]``.
     """
 
     def __init__(
@@ -187,12 +198,12 @@ class JakiroStore:
         self.counters.gets.value += 1
         self._clock += 1
         if bucket is not None:
-            for slot in bucket:
-                if slot.key == key:
-                    slot.last_used = self._clock
+            for slot in range(0, len(bucket), _STRIDE):
+                if bucket[slot] == key:
+                    bucket[slot + 2] = self._clock
                     self.counters.hits.value += 1
-                    cost = self.cost_model.cost(len(slot.value), self._rng)
-                    return slot.value, cost
+                    value = bucket[slot + 1]
+                    return value, self.cost_model.cost(len(value), self._rng)
         self.counters.misses.value += 1
         return None, self.cost_model.cost(0, self._rng)
 
@@ -253,7 +264,8 @@ class JakiroStore:
 
         A bucket that was empty and receives no key twice ends with its
         last eight pairs in batch order, the earlier ones evicted oldest
-        first, so it is written as one slice.  Every other bucket replays
+        first, so it is written as one slice of a list of triples built
+        :data:`_PLACE_CHUNK` buckets at a time.  Every other bucket replays
         its pairs through :meth:`_insert`; buckets are independent, so
         replaying them after the others leaves the same state.
         """
@@ -266,10 +278,9 @@ class JakiroStore:
         modulus = np.uint64(partitions * self.buckets_per_partition)
         flat = (digests % modulus).astype(np.int64)
         order = np.argsort(flat, kind="stable")
-        grouped = flat[order]
-        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
         sizes = np.diff(starts, append=count)
-        bucket_ids = grouped[starts]
+        bucket_ids = flat[order[starts]]
         replay = np.array(
             [
                 buckets[b % partitions][b // partitions] is not None
@@ -279,23 +290,34 @@ class JakiroStore:
         )
         # A repeated key repeats its digest, but distinct keys may share
         # one too: only an equal key is a repeat.
-        ordered = np.sort(digests)
-        shared = ordered[1:][ordered[1:] == ordered[:-1]]
         seen = set()
-        for i in np.flatnonzero(np.isin(digests, shared)).tolist():
+        for i in np.flatnonzero(np.isin(digests, _repeated(digests))).tolist():
             if keys[i] in seen:
                 replay[np.searchsorted(bucket_ids, flat[i])] = True
             seen.add(keys[i])
 
         in_replay = np.repeat(replay, sizes)
-        from_end = np.repeat(starts + sizes, sizes) - np.arange(count)
-        kept = order[(from_end <= SLOTS_PER_BUCKET) & ~in_replay].tolist()
-        slots = [_Slot(keys[i], values[i], clock + i) for i in kept]
+        # A bucket's survivors are the last eight pairs of its group.
+        survives = np.repeat(starts + sizes - SLOTS_PER_BUCKET, sizes) <= np.arange(count)
+        kept = order[survives & ~in_replay]
         settled = ~replay
         self.counters.evictions.increment(int(sizes[settled].sum()) - len(kept))
-        ends = np.cumsum(np.minimum(sizes[settled], SLOTS_PER_BUCKET)).tolist()
-        for b, start, end in zip(bucket_ids[settled].tolist(), [0] + ends, ends):
-            buckets[b % partitions][b // partitions] = slots[start:end]
+        settled_ids = bucket_ids[settled].tolist()
+        # Settled bucket j's survivors are ``kept[edges[j]:edges[j + 1]]``.
+        edges = np.concatenate(
+            ([0], np.cumsum(np.minimum(sizes[settled], SLOTS_PER_BUCKET)))
+        )
+        for first in range(0, len(settled_ids), _PLACE_CHUNK):
+            last = min(first + _PLACE_CHUNK, len(settled_ids))
+            picked = kept[edges[first] : edges[last]]
+            indices = picked.tolist()
+            triples = [None] * (_STRIDE * len(indices))
+            triples[0::_STRIDE] = map(keys.__getitem__, indices)
+            triples[1::_STRIDE] = map(values.__getitem__, indices)
+            triples[2::_STRIDE] = (picked + clock).tolist()
+            offsets = (_STRIDE * (edges[first : last + 1] - edges[first])).tolist()
+            for b, start, end in zip(settled_ids[first:last], offsets, offsets[1:]):
+                buckets[b % partitions][b // partitions] = triples[start:end]
 
         insert = self._insert
         replayed = np.sort(order[in_replay])
@@ -307,10 +329,10 @@ class JakiroStore:
         """The value resident for ``key``, or ``None``.  A pure readout for
         verification: no cost, no clock tick, no counters, no LRU refresh."""
         partition = partition_of(key, self.partitions)
-        bucket = self._buckets[partition][self._index(partition, key)]
-        for slot in bucket or ():
-            if slot.key == key:
-                return slot.value
+        bucket = self._buckets[partition][self._index(partition, key)] or ()
+        for slot in range(0, len(bucket), _STRIDE):
+            if bucket[slot] == key:
+                return bucket[slot + 1]
         return None
 
     # ------------------------------------------------------------------
@@ -328,8 +350,8 @@ class JakiroStore:
         and does not touch LRU recency."""
         for partition in self._buckets:
             for bucket in filter(None, partition):
-                for slot in bucket:
-                    yield slot.key, slot.value
+                for key, value in zip(bucket[0::_STRIDE], bucket[1::_STRIDE]):
+                    yield key, value
 
     def clear(self) -> None:
         """Drop every resident pair (a cold restart loses host memory);
@@ -338,18 +360,18 @@ class JakiroStore:
 
     def partition_sizes(self) -> Dict[int, int]:
         return {
-            index: sum(map(len, filter(None, partition)))
+            index: sum(map(len, filter(None, partition))) // _STRIDE
             for index, partition in enumerate(self._buckets)
         }
 
     def bucket_sizes(self) -> List[List[int]]:
         """Resident pairs in every bucket, one list per partition."""
         return [
-            [len(bucket) if bucket else 0 for bucket in partition]
+            [len(bucket) // _STRIDE if bucket else 0 for bucket in partition]
             for partition in self._buckets
         ]
 
-    def _empty_buckets(self) -> List[List[Optional[List[_Slot]]]]:
+    def _empty_buckets(self) -> List[List[Optional[list]]]:
         return [[None] * self.buckets_per_partition for _ in range(self.partitions)]
 
     def _index(self, partition: int, key: bytes) -> int:
@@ -367,7 +389,7 @@ class JakiroStore:
 
     def _insert(
         self,
-        partition: List[Optional[List[_Slot]]],
+        partition: List[Optional[list]],
         index: int,
         key: bytes,
         value: bytes,
@@ -378,18 +400,19 @@ class JakiroStore:
         returns whether a slot was evicted."""
         bucket = partition[index]
         if bucket is None:
-            partition[index] = [_Slot(key, value, clock)]
+            partition[index] = [key, value, clock]
             return False
-        for slot in bucket:
-            if slot.key == key:
-                slot.value = value
-                slot.last_used = clock
+        for slot in range(0, len(bucket), _STRIDE):
+            if bucket[slot] == key:
+                bucket[slot + 1] = value
+                bucket[slot + 2] = clock
                 self.counters.updates.value += 1
                 return False
-        evicted = len(bucket) >= SLOTS_PER_BUCKET
+        evicted = len(bucket) >= _STRIDE * SLOTS_PER_BUCKET
         if evicted:
-            victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
-            bucket.pop(victim)
+            stamps = bucket[2::_STRIDE]
+            victim = _STRIDE * stamps.index(min(stamps))
+            del bucket[victim : victim + _STRIDE]
             self.counters.evictions.value += 1
-        bucket.append(_Slot(key, value, clock))
+        bucket += (key, value, clock)
         return evicted

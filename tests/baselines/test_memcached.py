@@ -7,8 +7,27 @@ from repro.baselines import (
     RdmaMemcachedServer,
     build_serverreply_kv,
 )
+from repro.core.rpc import RPC_MALFORMED, RPC_NO_FUNCTION, RpcClient
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
+from repro.kv import GET_FUNCTION, PUT_FUNCTION, STATUS_MALFORMED, pack_get_request
 from repro.sim import Simulator, ThroughputMeter
+
+#: Requests the worker cannot decode, and the status each earns.
+MALFORMED_REQUESTS = {
+    "empty": (b"", RPC_MALFORMED),
+    "runt": (b"\x01", RPC_MALFORMED),
+    "unknown-function": (RpcClient.encode(9, pack_get_request(b"k")), RPC_NO_FUNCTION),
+    "get-one-byte": (RpcClient.encode(GET_FUNCTION, b"\x05"), STATUS_MALFORMED),
+    "get-short-key": (bytes([1, 0]) + b"\x05\x00ab", STATUS_MALFORMED),
+    "put-short-key": (
+        RpcClient.encode(PUT_FUNCTION, b"\x09\x00ab"),
+        STATUS_MALFORMED,
+    ),
+    "get-trailing": (
+        RpcClient.encode(GET_FUNCTION, pack_get_request(b"k") + b"!"),
+        STATUS_MALFORMED,
+    ),
+}
 
 
 def make_memcached(threads=16, **kwargs):
@@ -75,6 +94,39 @@ class TestMemcachedSemantics:
         sim.run()
         assert proc.value is None
         assert server.cache.evictions == 2
+
+    @pytest.mark.parametrize(
+        "payload, status", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS
+    )
+    def test_malformed_request_is_answered_and_the_worker_keeps_serving(
+        self, payload, status
+    ):
+        """A request that does not decode is answered before the global
+        lock; the cache, its recency and the counters are untouched."""
+        sim, cluster, server = make_memcached(threads=1)
+        server.preload([(b"k", b"v")])
+        client = server.connect(cluster.client_machines[0])
+
+        def state():
+            stats = server.kv_stats
+            return (
+                [getattr(stats, name).value for name in vars(stats)],
+                list(server.cache._items.items()),
+                list(server._recent),
+            )
+
+        before = state()
+        outcome = {}
+
+        def body(sim):
+            response = yield from client.transport.call(payload)
+            outcome["status"] = RpcClient.decode(response)[0]
+            outcome["untouched"] = state() == before
+            outcome["next"] = yield from client.get(b"k")
+
+        sim.process(body(sim))
+        sim.run()
+        assert outcome == {"status": status, "untouched": True, "next": b"v"}
 
     def test_lock_contention_counted(self):
         sim, cluster, server = make_memcached(threads=16)

@@ -78,11 +78,12 @@ class TestPeek:
                         getattr(store.counters, counter).value
                         for counter in ("gets", "hits", "misses")
                     ],
+                    # A bucket is flat (key, value, last_used) triples.
                     [
-                        slot.last_used
+                        stamp
                         for partition in store._buckets
                         for bucket in filter(None, partition)
-                        for slot in bucket
+                        for stamp in bucket[2::3]
                     ],
                 )
             return state

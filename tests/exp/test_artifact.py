@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.harness import Scale
 from repro.errors import ExpError
+from repro.exp.drivers import DRIVERS
 from repro.exp.artifact import (
     SCHEMA_VERSION,
     build_payload,
@@ -15,28 +16,32 @@ from repro.exp.artifact import (
     validate_artifact,
     write_payload,
 )
+from repro.exp.library import SPECS
 from repro.exp.runner import ExperimentRunner
 from repro.exp.spec import ExperimentSpec
-from repro.exp.suites import SUITES
+from repro.exp.suites import SUITES, run_suite
+from repro.exp.trajectory import compare_payloads
 
 FAST = Scale.fast()
 
 
+TOY_SPEC = ExperimentSpec(
+    experiment_id="toy",
+    title="Toy",
+    driver="fake",
+    axes={"server_threads": (1, 2)},
+    paper_expectation="flat",
+)
+
+
+def toy_driver(context):
+    context.make_simulator()
+    return {"mops": context.condition.topology.server_threads / 3.0}
+
+
 def toy_result():
-    spec = ExperimentSpec(
-        experiment_id="toy",
-        title="Toy",
-        driver="fake",
-        axes={"server_threads": (1, 2)},
-        paper_expectation="flat",
-    )
-
-    def driver(context):
-        context.make_simulator()
-        return {"mops": context.condition.topology.server_threads / 3.0}
-
-    runner = ExperimentRunner(drivers={"fake": driver})
-    return runner.run(spec, FAST)
+    runner = ExperimentRunner(drivers={"fake": toy_driver})
+    return runner.run(TOY_SPEC, FAST)
 
 
 class TestBuildPayload:
@@ -62,6 +67,32 @@ class TestBuildPayload:
         condition = payload["experiments"][0]["conditions"][0]
         assert "wall_s" in condition["unpinned"]
         assert "wall_s" not in condition["metrics"]
+
+    def test_suite_wall_time_is_unpinned_and_ignored(self):
+        """The suite's wall time is a top-level ``unpinned`` entry, which
+        the deterministic view drops and ``compare`` never reports."""
+        result = toy_result()
+        untimed = build_payload("toy-suite", [result], FAST)
+        timed = build_payload("toy-suite", [result], FAST, wall_s=12.345678)
+        validate_artifact(timed)
+        assert "unpinned" not in untimed
+        assert timed["unpinned"] == {"wall_s": 12.3457}
+        assert json.dumps(deterministic_view(timed), sort_keys=True) == json.dumps(
+            deterministic_view(untimed), sort_keys=True
+        )
+        slower = dict(timed, unpinned={"wall_s": 99.0})
+        assert compare_payloads(untimed, timed).identical
+        assert compare_payloads(timed, slower).identical
+
+    def test_run_suite_records_its_wall_time(self, monkeypatch):
+        monkeypatch.setitem(SUITES, "toy-suite", ("toy",))
+        monkeypatch.setitem(SPECS, "toy", TOY_SPEC)
+        monkeypatch.setitem(DRIVERS, "fake", toy_driver)
+        payload, results, path = run_suite("toy-suite", FAST, write=False)
+        validate_artifact(payload)
+        assert path is None
+        condition_s = sum(outcome.wall_s for outcome in results[0].outcomes)
+        assert payload["unpinned"]["wall_s"] >= round(condition_s, 4)
 
 
 class TestDeterministicView:
@@ -113,6 +144,12 @@ class TestValidation:
         payload = self.payload()
         payload["provenance"]["scale"]["records"] = True
         with pytest.raises(ExpError, match="records"):
+            validate_artifact(payload)
+
+    def test_suite_wall_time_must_be_a_number(self):
+        payload = build_payload("toy-suite", [toy_result()], FAST, wall_s=1.0)
+        payload["unpinned"]["wall_s"] = "slow"
+        with pytest.raises(ExpError, match=r"unpinned.*wall_s"):
             validate_artifact(payload)
 
     def test_schema_field_required(self):

@@ -3,10 +3,35 @@
 import pytest
 
 from repro.core import Mode
+from repro.core.rpc import RPC_MALFORMED, RpcClient
 from repro.errors import KVError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
-from repro.kv import Jakiro, partition_of
+from repro.kv import (
+    GET_FUNCTION,
+    PUT_FUNCTION,
+    STATUS_MALFORMED,
+    Jakiro,
+    pack_get_request,
+    partition_of,
+)
 from repro.sim import Simulator, ThroughputMeter
+
+#: Requests whose arguments do not decode, and the status each earns.
+MALFORMED_REQUESTS = {
+    "empty": (b"", RPC_MALFORMED),
+    "runt": (b"\x01", RPC_MALFORMED),
+    "get-one-byte": (RpcClient.encode(GET_FUNCTION, b"\x05"), STATUS_MALFORMED),
+    "put-one-byte": (RpcClient.encode(PUT_FUNCTION, b"\x05"), STATUS_MALFORMED),
+    "get-short-key": (bytes([1, 0]) + b"\x05\x00ab", STATUS_MALFORMED),
+    "put-short-key": (
+        RpcClient.encode(PUT_FUNCTION, b"\x09\x00ab"),
+        STATUS_MALFORMED,
+    ),
+    "get-trailing": (
+        RpcClient.encode(GET_FUNCTION, pack_get_request(b"fits") + b"!"),
+        STATUS_MALFORMED,
+    ),
+}
 
 
 def make_jakiro(threads=6, **kwargs):
@@ -136,6 +161,40 @@ class TestJakiroSemantics:
         sim.process(body(sim))
         sim.run()
         assert outcome == {"puts": 0, "rng_untouched": True, "value": b"v" * 64}
+
+    @pytest.mark.parametrize(
+        "payload, status", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS
+    )
+    def test_malformed_request_is_answered_and_the_server_keeps_serving(
+        self, payload, status
+    ):
+        """A request that does not decode earns an error status at no
+        store cost and no RNG draw; the same thread serves the next."""
+        sim, cluster, jakiro = make_jakiro(threads=1)
+        jakiro.preload([(b"fits", b"v" * 32)])
+        client = jakiro.connect(cluster.client_machines[0])
+        store = jakiro.store
+
+        def state():
+            counters = store.counters
+            return (
+                store._clock,
+                [getattr(counters, name).value for name in vars(counters)],
+                store._rng.bit_generator.state,
+            )
+
+        before = state()
+        outcome = {}
+
+        def body(sim):
+            response = yield from client.transports[0].call(payload)
+            outcome["status"] = RpcClient.decode(response)[0]
+            outcome["untouched"] = state() == before
+            outcome["next"] = yield from client.get(b"fits")
+
+        sim.process(body(sim))
+        sim.run()
+        assert outcome == {"status": status, "untouched": True, "next": b"v" * 32}
 
     @pytest.mark.parametrize("size", [16376, 16384])
     def test_get_of_a_stored_value_too_large_to_serve_is_refused(self, size):

@@ -38,15 +38,11 @@ def dataset():
 
 
 def _store_state(store):
-    """A copy of the store's layout, recency stamps, counters and RNG."""
+    """A copy of the store's layout, recency stamps, counters and RNG:
+    each bucket's flat ``(key, value, last_used)`` triples, in slot order."""
     return (
         [
-            [
-                None if bucket is None else [
-                    (slot.key, slot.value, slot.last_used) for slot in bucket
-                ]
-                for bucket in partition
-            ]
+            [None if bucket is None else list(bucket) for bucket in partition]
             for partition in store._buckets
         ],
         store._clock,

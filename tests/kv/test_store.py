@@ -152,11 +152,12 @@ class TestPeek:
                 name: getattr(store.counters, name).value
                 for name in ("gets", "hits", "misses", "puts", "updates", "evictions")
             }
+            # A bucket is flat (key, value, last_used) triples.
             stamps = [
-                slot.last_used
+                stamp
                 for partition in store._buckets
                 for bucket in filter(None, partition)
-                for slot in bucket
+                for stamp in bucket[2::3]
             ]
             return store._rng.bit_generator.state, store._clock, counters, stamps
 

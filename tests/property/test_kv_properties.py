@@ -1,9 +1,12 @@
 """Property-based tests for the KV data structures."""
 
+from dataclasses import dataclass
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KVError
+from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.kv import (
     CuckooHashTable,
     JakiroStore,
@@ -15,7 +18,7 @@ from repro.kv import (
     unpack_put_request,
 )
 from repro.kv.crc import crc64_many
-from repro.kv.store import SLOTS_PER_BUCKET, partition_of
+from repro.kv.store import SLOTS_PER_BUCKET, key_hash, partition_of
 from repro.sim.random import seeded_rng
 
 keys = st.binary(min_size=1, max_size=64)
@@ -247,3 +250,208 @@ class TestBulkLoadParity:
             model.cost(32, called)
         model.advance(advanced, n)
         assert advanced.bit_generator.state == called.bit_generator.state
+
+
+COUNTERS = ("gets", "hits", "misses", "puts", "updates", "evictions")
+
+
+@dataclass
+class _Slot:
+    key: bytes
+    value: bytes
+    last_used: int
+
+
+class _ReferenceStore:
+    """The store's bucket logic with one object per slot: a bucket is a
+    list of ``_Slot`` objects, a GET hit refreshes ``last_used`` in place,
+    and a full bucket evicts its first slot of least ``last_used``.
+    ``load`` is one ``put`` per pair, the contract of
+    :meth:`JakiroStore.load`."""
+
+    def __init__(
+        self, partitions, buckets, max_key_bytes, max_value_bytes, cost_model, rng
+    ):
+        self.partitions = partitions
+        self.buckets_per_partition = buckets
+        self.max_key_bytes = max_key_bytes
+        self.max_value_bytes = max_value_bytes
+        self.cost_model = cost_model
+        self.rng = rng
+        self.clock = 0
+        self.counters = dict.fromkeys(COUNTERS, 0)
+        self.clear()
+
+    def clear(self):
+        self.buckets = [
+            [[] for _ in range(self.buckets_per_partition)]
+            for _ in range(self.partitions)
+        ]
+
+    def _bucket(self, key):
+        digest = key_hash(key)
+        partition = digest % self.partitions
+        index = (digest // self.partitions) % self.buckets_per_partition
+        return self.buckets[partition][index]
+
+    def get(self, key):
+        bucket = self._bucket(key)
+        self.counters["gets"] += 1
+        self.clock += 1
+        for slot in bucket:
+            if slot.key == key:
+                slot.last_used = self.clock
+                self.counters["hits"] += 1
+                return slot.value, self.cost_model.cost(len(slot.value), self.rng)
+        self.counters["misses"] += 1
+        return None, self.cost_model.cost(0, self.rng)
+
+    def put(self, key, value):
+        if len(key) > self.max_key_bytes:
+            raise KeyTooLargeError(f"key of {len(key)} B > {self.max_key_bytes} B")
+        if len(value) > self.max_value_bytes:
+            raise ValueTooLargeError(
+                f"value of {len(value)} B > {self.max_value_bytes} B"
+            )
+        bucket = self._bucket(key)
+        self.counters["puts"] += 1
+        self.clock += 1
+        cost = self.cost_model.cost(len(value), self.rng)
+        for slot in bucket:
+            if slot.key == key:
+                slot.value = value
+                slot.last_used = self.clock
+                self.counters["updates"] += 1
+                return False, cost
+        evicted = len(bucket) >= SLOTS_PER_BUCKET
+        if evicted:
+            victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
+            bucket.pop(victim)
+            self.counters["evictions"] += 1
+        bucket.append(_Slot(key, value, self.clock))
+        return evicted, cost
+
+    def peek(self, key):
+        for slot in self._bucket(key):
+            if slot.key == key:
+                return slot.value
+        return None
+
+    def load(self, pairs):
+        for key, value in pairs:
+            self.put(key, value)
+
+    def state(self):
+        return (
+            [
+                [
+                    [(slot.key, slot.value, slot.last_used) for slot in bucket]
+                    for bucket in partition
+                ]
+                for partition in self.buckets
+            ],
+            self.clock,
+            dict(self.counters),
+            self.rng.bit_generator.state,
+        )
+
+
+def _flat_state(store):
+    """What ``_ReferenceStore.state`` reads, from the flat
+    ``(key, value, last_used)`` triples of every bucket."""
+    return (
+        [
+            [
+                [tuple(bucket[i : i + 3]) for i in range(0, len(bucket), 3)]
+                for bucket in (b or [] for b in partition)
+            ]
+            for partition in store._buckets
+        ],
+        store._clock,
+        {name: getattr(store.counters, name).value for name in COUNTERS},
+        store._rng.bit_generator.state,
+    )
+
+
+def _outcome(call):
+    """A call's return value, or the type and text of the error it raised."""
+    try:
+        return call()
+    except KVError as error:
+        return type(error), str(error)
+
+
+#: The 84 keys of one to three letters, which fit the 3-byte limit, and
+#: two that do not: enough to overfill the few buckets, and few enough
+#: that steps update, evict and reload the same keys.
+reference_keys = st.sampled_from(
+    [bytes(key) for size in (1, 2, 3) for key in product(b"abcd", repeat=size)]
+    + [b"abcd", b"dddd"]
+)
+reference_values = st.binary(max_size=7)
+#: Puts and GETs weigh three times a peek, loads twice, so that buckets
+#: fill between the clears.
+_put = st.tuples(st.just("put"), reference_keys, reference_values)
+_get = st.tuples(st.just("get"), reference_keys)
+_load = st.tuples(
+    st.just("load"),
+    st.lists(st.tuples(reference_keys, st.binary(max_size=6)), min_size=4, max_size=40),
+)
+store_steps = st.one_of(
+    _put, _get, _load, _put, _get, _load, _put, _get,
+    st.tuples(st.just("peek"), reference_keys),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestReferenceModel:
+    """:class:`JakiroStore` step for step against the per-slot-object
+    bucket logic it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        partitions=st.integers(1, 3),
+        buckets=st.integers(1, 4),
+        jitter=jitters,
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(store_steps, min_size=20, max_size=60),
+    )
+    def test_matches_reference_store(self, partitions, buckets, jitter, seed, steps):
+        def cost_model():
+            return StoreCostModel(jitter_probability=jitter)
+
+        store = JakiroStore(
+            partitions,
+            buckets_per_partition=buckets,
+            max_key_bytes=3,
+            max_value_bytes=6,
+            cost_model=cost_model(),
+            rng=seeded_rng(seed),
+        )
+        reference = _ReferenceStore(
+            partitions, buckets, 3, 6, cost_model(), seeded_rng(seed)
+        )
+        for op, *args in steps:
+            if op == "load":
+                got = _outcome(lambda: store.load(iter(args[0])))
+                expected = _outcome(lambda: reference.load(args[0]))
+            elif op == "clear":
+                got, expected = store.clear(), reference.clear()
+            elif op == "peek":
+                got, expected = store.peek(args[0]), reference.peek(args[0])
+            else:
+                part = partition_of(args[0], partitions)
+                got = _outcome(lambda: getattr(store, op)(part, *args))
+                expected = _outcome(lambda: getattr(reference, op)(*args))
+            assert got == expected, (op, args)
+            assert _flat_state(store) == reference.state(), (op, args)
+            assert store.bucket_sizes() == [
+                [len(bucket) for bucket in partition]
+                for partition in reference.buckets
+            ]
+            assert list(store.items()) == [
+                (slot.key, slot.value)
+                for partition in reference.buckets
+                for bucket in partition
+                for slot in bucket
+            ]
