@@ -83,12 +83,6 @@ def key_hashes(keys: Sequence[bytes]) -> np.ndarray:
     return np.fromiter(digests, dtype=np.uint64, count=len(keys))
 
 
-def _repeated(values: np.ndarray) -> np.ndarray:
-    """The values that occur more than once in ``values``, sorted."""
-    ordered = np.sort(values)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
-
-
 def partition_of(key: bytes, partitions: int) -> int:
     """EREW owner partition of ``key`` — shared by clients and server."""
     if partitions < 1:
@@ -290,8 +284,10 @@ class JakiroStore:
         )
         # A repeated key repeats its digest, but distinct keys may share
         # one too: only an equal key is a repeat.
+        shared = np.sort(digests)
+        shared = shared[1:][shared[1:] == shared[:-1]]
         seen = set()
-        for i in np.flatnonzero(np.isin(digests, _repeated(digests))).tolist():
+        for i in np.flatnonzero(np.isin(digests, shared)).tolist():
             if keys[i] in seen:
                 replay[np.searchsorted(bucket_ids, flat[i])] = True
             seen.add(keys[i])
